@@ -1,18 +1,17 @@
 #include "bench_common.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 
 #include "obs/mem_profile.hh"
 #include "obs/phase/phase.hh"
 #include "obs/profile.hh"
 #include "obs/sampler.hh"
 #include "obs/trace.hh"
-#include "serve/engine.hh"
-#include "serve/serve_trace.hh"
-#include "serve/traffic.hh"
-#include "serve_traces.hh"
 #include "sim/log.hh"
 #include "workloads/suite.hh"
 
@@ -20,8 +19,8 @@ namespace bsched::bench {
 
 namespace {
 
-/** Sampler period used for --trace runs when --sample-every is unset. */
-constexpr Cycle kDefaultSamplePeriod = 512;
+/** Sampler period of the --artifacts re-run. */
+constexpr Cycle kSamplePeriod = 512;
 
 long
 parsePositive(const char* flag, const char* value)
@@ -58,26 +57,10 @@ parseArgs(int argc, char** argv)
         } else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0') {
             requested =
                 static_cast<unsigned>(parsePositive("-j", arg + 2));
-        } else if (std::strcmp(arg, "--trace") == 0) {
-            opts.tracePath = next("--trace");
-        } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-            opts.tracePath = arg + 8;
-        } else if (std::strcmp(arg, "--profile") == 0) {
-            opts.profilePath = next("--profile");
-        } else if (std::strncmp(arg, "--profile=", 10) == 0) {
-            opts.profilePath = arg + 10;
-        } else if (std::strcmp(arg, "--mem-profile") == 0) {
-            opts.memProfilePath = next("--mem-profile");
-        } else if (std::strncmp(arg, "--mem-profile=", 14) == 0) {
-            opts.memProfilePath = arg + 14;
-        } else if (std::strcmp(arg, "--serve-trace") == 0) {
-            opts.serveTracePath = next("--serve-trace");
-        } else if (std::strncmp(arg, "--serve-trace=", 14) == 0) {
-            opts.serveTracePath = arg + 14;
-        } else if (std::strcmp(arg, "--phase") == 0) {
-            opts.phasePath = next("--phase");
-        } else if (std::strncmp(arg, "--phase=", 8) == 0) {
-            opts.phasePath = arg + 8;
+        } else if (std::strcmp(arg, "--artifacts") == 0) {
+            opts.artifactsDir = next("--artifacts");
+        } else if (std::strncmp(arg, "--artifacts=", 12) == 0) {
+            opts.artifactsDir = arg + 12;
         } else if (std::strcmp(arg, "--progress") == 0) {
             opts.progress = true;
         } else if (std::strcmp(arg, "--no-fast-forward") == 0) {
@@ -89,22 +72,15 @@ parseArgs(int argc, char** argv)
             opts.emitJsonPath = next("--emit-json");
         } else if (std::strncmp(arg, "--emit-json=", 12) == 0) {
             opts.emitJsonPath = arg + 12;
-        } else if (std::strcmp(arg, "--sample-every") == 0) {
-            opts.sampleEvery = static_cast<Cycle>(
-                parsePositive("--sample-every", next("--sample-every")));
-        } else if (std::strncmp(arg, "--sample-every=", 15) == 0) {
-            opts.sampleEvery = static_cast<Cycle>(
-                parsePositive("--sample-every", arg + 15));
         } else if (std::strcmp(arg, "--log") == 0) {
             setLogLevel(parseLogLevel(next("--log")));
         } else if (std::strncmp(arg, "--log=", 6) == 0) {
             setLogLevel(parseLogLevel(arg + 6));
         } else {
             fatal("unknown argument '", arg,
-                  "' (figures accept --jobs N, --trace FILE, "
-                  "--profile FILE, --mem-profile FILE, --serve-trace FILE, "
-                  "--phase FILE, --emit-json FILE, --sample-every N, "
-                  "--progress, --no-fast-forward, --log LEVEL)");
+                  "' (figures accept --jobs N, --emit-json FILE, "
+                  "--artifacts DIR, --progress, --no-fast-forward, "
+                  "--log LEVEL)");
         }
     }
     opts.jobs = resolveJobs(requested);
@@ -115,12 +91,6 @@ parseArgs(int argc, char** argv)
     }
     setHarnessProgress(opts.progress);
     return opts;
-}
-
-unsigned
-parseJobs(int argc, char** argv)
-{
-    return parseArgs(argc, argv).jobs;
 }
 
 void
@@ -137,116 +107,58 @@ writeReport(const BenchOptions& opts, const BenchReport& report)
 }
 
 void
-writeServeTraceArtifact(const BenchOptions& opts)
-{
-    if (opts.serveTracePath.empty())
-        return;
-
-    // Everything here is pinned — trace, policy, machine — so the
-    // artifact bytes never depend on which binary wrote it, on --jobs,
-    // or on fast-forward.
-    const ServeTraceDef def = canonicalServeTrace();
-    const GpuConfig config =
-        makeConfig(WarpSchedKind::GTO, CtaSchedKind::Lazy);
-    ServeConfig serve;
-    serve.policy = ServePolicy::ReorderPreempt;
-
-    ServeTrace trace;
-    ServingEngine engine(config, serve);
-    engine.setTrace(&trace);
-    const ServingRunResult result = engine.run(generateTrace(def.spec));
-
-    ServeTraceReport report("serve_trace");
-    report.addRun(toString(serve.policy), def.name, result, trace);
-    const std::size_t bytes =
-        writeFile(opts.serveTracePath, [&](std::ostream& os) {
-            report.writeJson(os);
-        });
-    std::fprintf(stderr,
-                 "wrote %s (%zu bytes, %s/%s, %zu decisions)\n",
-                 opts.serveTracePath.c_str(), bytes, def.name.c_str(),
-                 toString(serve.policy),
-                 trace.audit.decisions.size());
-}
-
-void
 writeRunArtifacts(const BenchOptions& opts, const GpuConfig& config,
-                  const KernelInfo& kernel, const std::string& label)
+                  const KernelInfo& kernel, const std::string& label,
+                  const std::vector<RunArtifact>& own)
 {
-    writeServeTraceArtifact(opts);
-
-    const bool want_trace = !opts.tracePath.empty();
-    const bool want_profile = !opts.profilePath.empty();
-    const bool want_mem = !opts.memProfilePath.empty();
-    const bool want_phase = !opts.phasePath.empty();
-    if (!want_trace && !want_profile && !want_mem && !want_phase)
+    if (opts.artifactsDir.empty())
         return;
 
-    const Cycle period =
-        opts.sampleEvery > 0 ? opts.sampleEvery : kDefaultSamplePeriod;
     Tracer tracer(config.numCores, config.numMemPartitions);
-    IntervalSampler sampler(period);
+    IntervalSampler sampler(kSamplePeriod);
     CycleProfiler profiler;
     MemProfiler mem_profiler;
     PhaseTelemetry phase;
     Observer obs;
-    if (want_trace) {
-        obs.tracer = &tracer;
-        obs.sampler = &sampler;
-    }
-    if (want_profile)
-        obs.profiler = &profiler;
-    // --phase rides the memory profiler so the exported windows carry
-    // the interference channels; the detectors themselves never read
-    // them, so boundaries match a phase-only attachment.
-    if (want_mem || want_phase)
-        obs.memProfiler = &mem_profiler;
-    if (want_phase)
-        obs.phase = &phase;
+    obs.tracer = &tracer;
+    obs.sampler = &sampler;
+    obs.profiler = &profiler;
+    obs.memProfiler = &mem_profiler;
+    obs.phase = &phase;
     runKernel(config, kernel, obs);
 
-    if (want_trace) {
-        const std::size_t bytes =
-            writeFile(opts.tracePath, [&](std::ostream& os) {
-                tracer.writeChromeTrace(os, &sampler);
-            });
-        std::fprintf(stderr, "wrote %s (%zu bytes, %s, %llu events",
-                     opts.tracePath.c_str(), bytes, label.c_str(),
-                     static_cast<unsigned long long>(tracer.recorded()));
-        if (tracer.dropped() > 0) {
-            std::fprintf(stderr, ", %llu dropped",
-                         static_cast<unsigned long long>(tracer.dropped()));
-        }
-        std::fprintf(stderr, ")\n");
+    std::vector<RunArtifact> table = {
+        {"trace.json",
+         [&](std::ostream& os) { tracer.writeChromeTrace(os, &sampler); }},
+        {"profile.json",
+         [&](std::ostream& os) { writeProfileJson(os, profiler, label); }},
+        {"memprofile.json",
+         [&](std::ostream& os) {
+             writeMemProfileJson(os, mem_profiler, label);
+         }},
+        {"phase.json",
+         [&](std::ostream& os) { writePhaseJson(os, phase, label); }},
+    };
+    for (const RunArtifact& a : own) {
+        const auto row = std::find_if(
+            table.begin(), table.end(),
+            [&](const RunArtifact& t) { return t.file == a.file; });
+        if (row == table.end())
+            fatal("writeRunArtifacts: unknown run artifact '", a.file, "'");
+        row->write = a.write;
     }
-    if (want_profile) {
-        const std::size_t bytes =
-            writeFile(opts.profilePath, [&](std::ostream& os) {
-                writeProfileJson(os, profiler, label);
-            });
-        std::fprintf(stderr, "wrote %s (%zu bytes, %s)\n",
-                     opts.profilePath.c_str(), bytes, label.c_str());
+
+    std::error_code ec;
+    std::filesystem::create_directories(opts.artifactsDir, ec);
+    if (ec) {
+        fatal("--artifacts: cannot create '", opts.artifactsDir, "': ",
+              ec.message());
     }
-    if (want_mem) {
-        const std::size_t bytes =
-            writeFile(opts.memProfilePath, [&](std::ostream& os) {
-                writeMemProfileJson(os, mem_profiler, label);
-            });
-        std::fprintf(stderr, "wrote %s (%zu bytes, %s, %llu requests)\n",
-                     opts.memProfilePath.c_str(), bytes, label.c_str(),
-                     static_cast<unsigned long long>(
-                         mem_profiler.completedRequests()));
-    }
-    if (want_phase) {
-        const std::size_t bytes =
-            writeFile(opts.phasePath, [&](std::ostream& os) {
-                writePhaseJson(os, phase, label);
-            });
-        std::fprintf(stderr, "wrote %s (%zu bytes, %s, %zu windows, "
-                             "%zu phases)\n",
-                     opts.phasePath.c_str(), bytes, label.c_str(),
-                     phase.metrics().windows(),
-                     phase.machine().phases().size());
+    for (const RunArtifact& a : table) {
+        const std::string path = opts.artifactsDir + "/" + a.file;
+        const std::size_t bytes = writeFile(path, a.write);
+        std::fprintf(stderr, "wrote %s (%zu bytes, %s)\n", path.c_str(),
+                     bytes, label.c_str());
     }
 }
 

@@ -1,22 +1,24 @@
 /**
  * @file
  * Shared scaffolding for the figure/table binaries: the common command
- * line (--jobs, --trace, --profile, --mem-profile, --phase,
- * --emit-json, --sample-every, --progress, --log) and the workload ×
- * config grid
+ * line (--jobs, --emit-json, --artifacts, --progress, --no-fast-forward,
+ * --log), the run-artifact writer, and the workload × config grid
  * runner every sweep figure uses instead of hand-rolled serial loops.
  *
  * All figures accept `--jobs N` (also `--jobs=N` / `-jN`) or the
  * BSCHED_JOBS environment variable; the default is the hardware
  * concurrency. Per-point results are identical for every job count —
  * only the wall-clock changes (see parallel_runner.hh) — and the
- * --emit-json artifact is byte-identical for any job count.
+ * --emit-json report and every --artifacts file are byte-identical for
+ * any job count.
  */
 
 #ifndef BSCHED_BENCH_BENCH_COMMON_HH
 #define BSCHED_BENCH_BENCH_COMMON_HH
 
 #include <cstddef>
+#include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -32,30 +34,12 @@ struct BenchOptions
     /** Resolved worker count (already passed through resolveJobs()). */
     unsigned jobs = 0;
 
-    /** --trace FILE: write a Chrome trace of one representative run. */
-    std::string tracePath;
-
-    /** --profile FILE: write a `bsched-profile-v1` cycle-accounting
-     *  profile of one representative run. */
-    std::string profilePath;
-
-    /** --mem-profile FILE: write a `bsched-memprofile-v1` memory
-     *  latency/interference profile of one representative run. */
-    std::string memProfilePath;
-
     /** --emit-json FILE: write the figure's BenchReport as JSON. */
     std::string emitJsonPath;
 
-    /** --serve-trace FILE: write a `bsched-servetrace-v1` decision
-     *  audit of the canonical serving run. */
-    std::string serveTracePath;
-
-    /** --phase FILE: write a `bsched-phase-v1` windowed phase-telemetry
-     *  report of one representative run. */
-    std::string phasePath;
-
-    /** --sample-every N: interval-sampler period for the traced run. */
-    Cycle sampleEvery = 0;
+    /** --artifacts DIR: write the run artifacts (see writeRunArtifacts)
+     *  into this directory. */
+    std::string artifactsDir;
 
     /** --progress: stderr heartbeat for long grid sweeps. */
     bool progress = false;
@@ -63,9 +47,7 @@ struct BenchOptions
 
 /**
  * Parse the shared bench command line. Recognizes "--jobs N" /
- * "--jobs=N" / "-jN", "--trace FILE", "--profile FILE",
- * "--mem-profile FILE", "--phase FILE", "--emit-json FILE",
- * "--sample-every N",
+ * "--jobs=N" / "-jN", "--emit-json FILE", "--artifacts DIR",
  * "--progress" (also the BSCHED_PROGRESS environment variable),
  * "--no-fast-forward" (force plain cycle-by-cycle stepping; results
  * are byte-identical either way) and "--log LEVEL" (also BSCHED_LOG);
@@ -74,45 +56,32 @@ struct BenchOptions
  */
 BenchOptions parseArgs(int argc, char** argv);
 
-/**
- * Back-compat wrapper: parse the shared command line and return only
- * the resolved worker count.
- */
-unsigned parseJobs(int argc, char** argv);
-
 /** Write the report to opts.emitJsonPath when --emit-json was given. */
 void writeReport(const BenchOptions& opts, const BenchReport& report);
 
-/**
- * Honour --trace, --profile, --mem-profile and --phase: re-run one
- * representative simulation point with the requested observers
- * attached — a Tracer plus an IntervalSampler (period --sample-every,
- * default 512) for --trace, a CycleProfiler for --profile, a
- * MemProfiler for --mem-profile, a PhaseTelemetry (plus a MemProfiler
- * for the interference channels) for --phase — and write the Chrome
- * trace JSON to opts.tracePath, the `bsched-profile-v1` JSON to
- * opts.profilePath, the `bsched-memprofile-v1` JSON to
- * opts.memProfilePath and/or the `bsched-phase-v1` JSON to
- * opts.phasePath. When several are requested the same single re-run
- * feeds all artifacts. No-op when no flag was given; the re-run is
- * serial and separate from the measured grid, so artifacts never
- * perturb the parallel sweep.
- */
-void writeRunArtifacts(const BenchOptions& opts, const GpuConfig& config,
-                       const KernelInfo& kernel, const std::string& label);
+/** One run artifact: its file name under --artifacts DIR and its
+ *  writer. */
+struct RunArtifact
+{
+    std::string file;
+    std::function<void(std::ostream&)> write;
+};
 
 /**
- * Honour --serve-trace: serve the canonical bursty deadline trace
- * (serve_traces.hh) under the reorder+preempt policy on the canonical
- * GTO+LCS machine with the decision audit attached, and write the
- * `bsched-servetrace-v1` JSON to opts.serveTracePath. The run is fixed
- * — same trace, policy and config from every bench binary — so the
- * artifact bytes are identical regardless of which binary wrote it,
- * for any --jobs count, and with fast-forward on or off. No-op when
- * the flag was not given. writeRunArtifacts calls this, so figures
- * already emitting run artifacts get it for free.
+ * Honour --artifacts DIR: re-run one representative simulation point
+ * with every observer attached — a Tracer plus an IntervalSampler
+ * (period 512), a CycleProfiler, a MemProfiler and a PhaseTelemetry —
+ * and write `trace.json` (`bsched-trace-v1`), `profile.json`
+ * (`bsched-profile-v1`), `memprofile.json` (`bsched-memprofile-v1`)
+ * and `phase.json` (`bsched-phase-v1`) into the directory. A figure
+ * whose own result is one of those artifacts passes its writer in
+ * @p own under the same file name; it replaces the re-run's. No-op
+ * without --artifacts; the re-run is serial and separate from the
+ * measured grid, so artifacts never perturb the parallel sweep.
  */
-void writeServeTraceArtifact(const BenchOptions& opts);
+void writeRunArtifacts(const BenchOptions& opts, const GpuConfig& config,
+                       const KernelInfo& kernel, const std::string& label,
+                       const std::vector<RunArtifact>& own = {});
 
 /** Results of a workload × config sweep, workload-major. */
 struct GridResults

@@ -228,20 +228,13 @@ main(int argc, char** argv)
                 "occupancy cap removes.\n");
 
     bench::writeReport(opts, report);
-    if (!opts.memProfilePath.empty()) {
-        // The E17 artifact is the full sweep, not one representative
-        // run: every point of every workload in one
-        // `bsched-memprofile-v1` file.
-        const std::size_t bytes =
-            writeFile(opts.memProfilePath, [&](std::ostream& os) {
-                writeMemProfileJson(os, artifact, "fig_mem_interference");
-            });
-        std::fprintf(stderr, "wrote %s (%zu bytes, %zu points)\n",
-                     opts.memProfilePath.c_str(), bytes, artifact.size());
-    }
-    bench::BenchOptions rest = opts;
-    rest.memProfilePath.clear(); // the sweep artifact above replaces it
-    bench::writeRunArtifacts(rest, base, makeWorkload("kmeans"),
-                             "kmeans/base");
+    // The E17 memory profile is the full sweep, not one representative
+    // run: every point of every workload in one `bsched-memprofile-v1`
+    // file.
+    bench::writeRunArtifacts(
+        opts, base, makeWorkload("kmeans"), "kmeans/base",
+        {{"memprofile.json", [&](std::ostream& os) {
+              writeMemProfileJson(os, artifact, "fig_mem_interference");
+          }}});
     return 0;
 }

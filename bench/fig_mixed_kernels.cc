@@ -6,13 +6,12 @@
  * mixed on every core with LCS carving out the space. Reports total
  * runtime speedup over sequential, STP, ANTT, and the per-kernel
  * fairness view (max slowdown, min-max fairness) that ANTT's mean
- * hides. Isolated baselines are deduplicated across pairs through the
- * shared content-keyed IsolatedCycleCache.
+ * hides. Each distinct workload's isolated baseline is simulated once
+ * and handed to every pair and policy that runs it.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -67,20 +66,17 @@ main(int argc, char** argv)
                 uniq.push_back(name);
         }
     }
-    // Warm the shared content-keyed cache in parallel; every policy
-    // point below then hits it instead of re-simulating its pair's
-    // isolated baselines. Cached values equal fresh runs, so the
-    // artifact bytes don't depend on the cache at all.
-    IsolatedCycleCache cache;
-    runner.map<Cycle>(uniq.size(), [&](std::size_t i) {
+    const auto iso_cycles = runner.map<Cycle>(uniq.size(), [&](std::size_t i) {
         const KernelInfo k = makeWorkload(uniq[i]);
         Gpu gpu(config);
         const int id = gpu.launchKernel(k);
         gpu.run();
-        const Cycle cycles = gpu.kernelCycles(id);
-        cache.insert(IsolatedCycleCache::key(config, k), cycles);
-        return cycles;
+        return gpu.kernelCycles(id);
     });
+    auto isolatedOf = [&](const std::string& name) {
+        const auto at = std::find(uniq.begin(), uniq.end(), name);
+        return iso_cycles[static_cast<std::size_t>(at - uniq.begin())];
+    };
 
     // One independent point per (pair, policy); each owns its kernels.
     const std::vector<MultiKernelPolicy> policies = {
@@ -93,9 +89,11 @@ main(int argc, char** argv)
             const KernelInfo ka = makeWorkload(a);
             const KernelInfo kb = makeWorkload(b);
             const std::vector<const KernelInfo*> kernels = {&ka, &kb};
+            const std::vector<Cycle> isolated = {isolatedOf(a),
+                                                 isolatedOf(b)};
             return runMultiKernel(config, kernels,
                                   policies[i % policies.size()], {},
-                                  nullptr, &cache);
+                                  &isolated);
         });
 
     BenchReport report("fig_mixed_kernels");
@@ -136,9 +134,6 @@ main(int argc, char** argv)
                   fmt(geomean(mixed_speedups), 3), "", "", "", "", "",
                   ""});
     std::printf("%s\n", table.toText().c_str());
-    std::printf("isolated-baseline cache: %zu entries, %llu hits\n\n",
-                cache.size(),
-                static_cast<unsigned long long>(cache.hits()));
     std::printf("Reading: mixing pays off when the pair is limited by\n"
                 "different resources (memory kernel + smem/SFU kernel);\n"
                 "pairing two register/thread-limited kernels shrinks the\n"

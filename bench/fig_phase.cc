@@ -253,20 +253,12 @@ main(int argc, char** argv)
     report.addMetric("composite.lcs_n_opt", static_cast<double>(n_lcs));
     bench::writeReport(opts, report);
 
-    if (!opts.phasePath.empty()) {
-        // The E20 artifact is this exact canonical run, not the
-        // representative re-run writeRunArtifacts would do.
-        const std::size_t bytes =
-            writeFile(opts.phasePath, [&](std::ostream& os) {
-                writePhaseJson(os, phase, "fig_phase/phased/lazy");
-            });
-        std::fprintf(stderr, "wrote %s (%zu bytes, %zu windows, "
-                             "%zu phases)\n",
-                     opts.phasePath.c_str(), bytes, m.windows(),
-                     machine.phases().size());
-    }
-    bench::BenchOptions rest = opts;
-    rest.phasePath.clear(); // the canonical artifact above replaces it
-    bench::writeRunArtifacts(rest, config, phased, "phased/lazy");
+    // The E20 phase artifact is this exact canonical run, not the
+    // representative re-run's.
+    bench::writeRunArtifacts(
+        opts, config, phased, "phased/lazy",
+        {{"phase.json", [&](std::ostream& os) {
+              writePhaseJson(os, phase, "fig_phase/phased/lazy");
+          }}});
     return 0;
 }

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "gpu/multi_kernel.hh"
+#include "gpu/gpu.hh"
 #include "serve/engine.hh"
 #include "serve/serving_report.hh"
 #include "serve/traffic.hh"
@@ -59,9 +59,7 @@ main(int argc, char** argv)
     const ParallelRunner runner(jobs);
 
     // Isolated full-machine runtimes (fairness denominators), computed
-    // once per distinct workload through the shared content-keyed
-    // cache. The parallel warm-up deposits deterministic values, so
-    // cache state never shows in the artifact.
+    // once per distinct workload.
     std::vector<std::string> uniq;
     for (const TraceDef& def : traces) {
         for (const TenantSpec& tenant : def.spec.tenants) {
@@ -73,16 +71,13 @@ main(int argc, char** argv)
             }
         }
     }
-    IsolatedCycleCache cache;
     const auto iso_cycles =
         runner.map<Cycle>(uniq.size(), [&](std::size_t i) {
             const KernelInfo kernel = makeWorkload(uniq[i]);
             Gpu gpu(config);
             const int id = gpu.launchKernel(kernel);
             gpu.run();
-            const Cycle cycles = gpu.kernelCycles(id);
-            cache.insert(IsolatedCycleCache::key(config, kernel), cycles);
-            return cycles;
+            return gpu.kernelCycles(id);
         });
     std::map<std::string, Cycle> isolated;
     for (std::size_t i = 0; i < uniq.size(); ++i)

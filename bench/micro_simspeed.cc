@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hh"
 #include "gpu/gpu.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
@@ -271,12 +270,11 @@ BENCHMARK(BM_WorkloadConstruction)->Unit(benchmark::kMillisecond);
 /**
  * Pull `--jobs N` / `--jobs=N` / `-jN` and `--emit-json FILE` out of the
  * command line (so the rest can go to benchmark::Initialize). Unlike
- * bench::parseJobs this is lenient about unknown arguments —
+ * bench::parseArgs this is lenient about unknown arguments —
  * google-benchmark owns them here.
  */
 unsigned
-extractJobsArg(int& argc, char** argv, std::string& emit_json,
-               std::string& serve_trace)
+extractJobsArg(int& argc, char** argv, std::string& emit_json)
 {
     unsigned requested = 0;
     int out = 1;
@@ -294,12 +292,6 @@ extractJobsArg(int& argc, char** argv, std::string& emit_json,
             continue;
         } else if (std::strncmp(arg, "--emit-json=", 12) == 0) {
             emit_json = arg + 12;
-            continue;
-        } else if (std::strcmp(arg, "--serve-trace") == 0 && i + 1 < argc) {
-            serve_trace = argv[++i];
-            continue;
-        } else if (std::strncmp(arg, "--serve-trace=", 14) == 0) {
-            serve_trace = arg + 14;
             continue;
         } else if (std::strcmp(arg, "--no-fast-forward") == 0) {
             setDefaultFastForward(false);
@@ -664,17 +656,11 @@ int
 main(int argc, char** argv)
 {
     std::string emit_json;
-    std::string serve_trace;
-    const unsigned jobs = bsched::resolveJobs(
-        extractJobsArg(argc, argv, emit_json, serve_trace));
+    const unsigned jobs =
+        bsched::resolveJobs(extractJobsArg(argc, argv, emit_json));
     harnessSelfCheck(jobs);
     if (!emit_json.empty())
         writeSimspeedJson(emit_json);
-    if (!serve_trace.empty()) {
-        bsched::bench::BenchOptions serve_opts;
-        serve_opts.serveTracePath = serve_trace;
-        bsched::bench::writeServeTraceArtifact(serve_opts);
-    }
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

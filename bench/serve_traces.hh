@@ -1,11 +1,10 @@
 /**
  * @file
  * The canonical serving scenarios shared by the serving figures
- * (fig_serving / E18 and fig_serve_trace / E19) and the --serve-trace
- * artifact writer in bench_common. One definition means the committed
- * bsched-serving-v1 and bsched-servetrace-v1 baselines are built from
- * byte-identical traces — a drift in one figure's copy can't silently
- * desynchronize the other's.
+ * (fig_serving / E18 and fig_serve_trace / E19). One definition means
+ * the committed bsched-serving-v1 and bsched-servetrace-v1 baselines
+ * are built from byte-identical traces — a drift in one figure's copy
+ * can't silently desynchronize the other's.
  */
 
 #ifndef BSCHED_BENCH_SERVE_TRACES_HH
@@ -97,20 +96,6 @@ makeServeTraces()
         traces.push_back({"closed_pair", spec});
     }
     return traces;
-}
-
-/**
- * The canonical scenario behind --serve-trace: the bursty deadline
- * trace (the only one that exercises preemption, so its audit log and
- * drain counters are the interesting ones). Every bench binary writes
- * the artifact from this same trace under the same fixed policy and
- * config, so --serve-trace output is byte-identical no matter which
- * binary produced it.
- */
-inline ServeTraceDef
-canonicalServeTrace()
-{
-    return makeServeTraces()[1];
 }
 
 } // namespace bsched::bench

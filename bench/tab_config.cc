@@ -28,6 +28,5 @@ main(int argc, char** argv)
     report.addMetric("l1d_size_bytes", config.l1d.sizeBytes);
     report.addMetric("l2_size_bytes", config.l2.sizeBytes);
     bench::writeReport(opts, report);
-    bench::writeServeTraceArtifact(opts);
     return 0;
 }

@@ -47,6 +47,5 @@ main(int argc, char** argv)
     }
     std::printf("%s", table.toText().c_str());
     bench::writeReport(opts, report);
-    bench::writeServeTraceArtifact(opts);
     return 0;
 }

@@ -213,13 +213,6 @@ SimtCore::structuralReady(const Instr& instr, Cycle now) const
     return false;
 }
 
-bool
-SimtCore::warpReady(const Warp& warp, Cycle now) const
-{
-    const Instr& instr = warp.cursor.instr(warp.kernel->program);
-    return warp.sb.canIssue(instr, now) && structuralReady(instr, now);
-}
-
 IssueRefusal
 SimtCore::warpRefusal(const Warp& warp, Cycle now) const
 {

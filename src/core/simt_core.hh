@@ -31,8 +31,8 @@ class Tracer;
 class MemProfiler;
 
 /**
- * Why one warp could not issue this cycle — the reason warpReady()
- * collapses to a bool. Produced by SimtCore::warpRefusal() on the
+ * Why one warp could not issue this cycle — the reason the issue
+ * loop's scoreboard + structuralReady() check collapses to a bool. Produced by SimtCore::warpRefusal() on the
  * profiling path only; the fast issue loop never computes it.
  */
 enum class IssueRefusal : std::uint8_t
@@ -164,10 +164,10 @@ class SimtCore
 
     /**
      * Why @p warp cannot issue at @p now (IssueRefusal::None if it can).
-     * Must stay the exact reason-reporting mirror of warpReady(): the
-     * fast issue loop keeps the bool so the profiling-disabled path does
-     * no extra work, and the profiler calls this only for slots that
-     * failed to issue.
+     * Must stay the exact reason-reporting mirror of the issue loop's
+     * scoreboard + structuralReady() check: the fast issue loop keeps
+     * the bool so the profiling-disabled path does no extra work, and
+     * the profiler calls this only for slots that failed to issue.
      */
     IssueRefusal warpRefusal(const Warp& warp, Cycle now) const;
 
@@ -217,9 +217,8 @@ class SimtCore
         std::vector<std::uint64_t> completedCtaIssued;
     };
 
-    /** True if @p warp can issue its next instruction this cycle. */
-    bool warpReady(const Warp& warp, Cycle now) const;
-    /** Structural half of warpReady (ports, LD/ST admission, smem). */
+    /** Structural half of the issue check (ports, LD/ST admission,
+     *  smem); the scoreboard is the other half. */
     bool structuralReady(const Instr& instr, Cycle now) const;
     /** Classify a slot that issued nothing this cycle (profiler path):
      *  the category and the kernel it is attributed to. */

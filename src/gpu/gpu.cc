@@ -290,12 +290,8 @@ Gpu::stepCycle()
     ctaSched_->tick(now, kernels_, cores_);
     did_work |= ctaSched_->dispatches() != dispatches_before;
 
-    // Phase windows close before the sample is taken, so the sampled
-    // phase gauges always reflect every window up to `now`.
-    if (obs_.phase != nullptr && obs_.phase->due(now))
-        closePhaseWindow(now);
-    if (obs_.sampler != nullptr && obs_.sampler->due(now))
-        collectSample(now);
+    observeFence(now, obs_.phase != nullptr && obs_.phase->due(now),
+                 obs_.sampler != nullptr && obs_.sampler->due(now));
 
     ++cycle_;
     if (cycle_ >= config_.maxCycles)
@@ -405,105 +401,19 @@ Gpu::run()
 void
 Gpu::finalizeSample()
 {
-    // Tie off the partial final phase window first so the closing
+    // Tie off the partial final phase window too, so the closing
     // sample's phase gauges include it.
-    if (obs_.phase != nullptr && obs_.phase->finalPending(cycle_))
-        closePhaseWindow(cycle_);
-    if (obs_.sampler != nullptr &&
-        (obs_.sampler->cycles().empty() ||
-         obs_.sampler->cycles().back() != cycle_)) {
-        collectSample(cycle_);
-    }
+    observeFence(cycle_,
+                 obs_.phase != nullptr && obs_.phase->finalPending(cycle_),
+                 obs_.sampler != nullptr &&
+                     (obs_.sampler->cycles().empty() ||
+                      obs_.sampler->cycles().back() != cycle_));
 }
 
-void
-Gpu::collectSample(Cycle now)
+CounterSnapshot
+Gpu::snapshotCounters() const
 {
-    IntervalSampler& s = *obs_.sampler;
-    s.begin(now);
-
-    const std::uint64_t instrs = totalInstrsIssued();
-    s.record("gpu.instrs", static_cast<double>(instrs),
-             SeriesKind::Counter);
-    const Cycle span = now - lastSampleCycle_;
-    const double interval_ipc = span == 0
-        ? 0.0
-        : static_cast<double>(instrs - lastSampleInstrs_) /
-            static_cast<double>(span);
-    s.record("gpu.interval_ipc", interval_ipc, SeriesKind::Gauge);
-    lastSampleCycle_ = now;
-    lastSampleInstrs_ = instrs;
-
-    std::uint64_t active = 0;
-    std::uint64_t issue = 0, stall_mem = 0, stall_idle = 0;
-    std::uint64_t l1_access = 0, l1_miss = 0, l1_mshr = 0;
-    for (const auto& core : cores_) {
-        active += core->residentCtas();
-        issue += core->issueCycles();
-        stall_mem += core->memStallCycles();
-        stall_idle += core->idleStallCycles();
-        l1_access += core->ldst().l1().accesses();
-        l1_miss += core->ldst().l1().misses();
-        l1_mshr += core->ldst().mshr().entriesInUse();
-    }
-    s.record("gpu.active_ctas", static_cast<double>(active),
-             SeriesKind::Gauge);
-    s.record("core.issue_cycles", static_cast<double>(issue),
-             SeriesKind::Counter);
-    s.record("core.stall_mem", static_cast<double>(stall_mem),
-             SeriesKind::Counter);
-    s.record("core.stall_idle", static_cast<double>(stall_idle),
-             SeriesKind::Counter);
-    s.record("l1d.access", static_cast<double>(l1_access),
-             SeriesKind::Counter);
-    s.record("l1d.miss", static_cast<double>(l1_miss),
-             SeriesKind::Counter);
-    s.record("l1d.mshr_in_use", static_cast<double>(l1_mshr),
-             SeriesKind::Gauge);
-
-    std::uint64_t l2_access = 0, l2_miss = 0, l2_mshr = 0;
-    std::uint64_t row_hit = 0, row_miss = 0, row_conflict = 0;
-    for (const auto& part : partitions_) {
-        l2_access += part->l2().accesses();
-        l2_miss += part->l2().misses();
-        l2_mshr += part->l2Mshr().entriesInUse();
-        row_hit += part->dram().rowHits();
-        row_miss += part->dram().rowMisses();
-        row_conflict += part->dram().rowConflicts();
-    }
-    s.record("l2.access", static_cast<double>(l2_access),
-             SeriesKind::Counter);
-    s.record("l2.miss", static_cast<double>(l2_miss),
-             SeriesKind::Counter);
-    s.record("l2.mshr_in_use", static_cast<double>(l2_mshr),
-             SeriesKind::Gauge);
-    s.record("dram.row_hit", static_cast<double>(row_hit),
-             SeriesKind::Counter);
-    s.record("dram.row_miss", static_cast<double>(row_miss),
-             SeriesKind::Counter);
-    s.record("dram.row_conflict", static_cast<double>(row_conflict),
-             SeriesKind::Counter);
-
-    // Phase-telemetry gauges ride the same fenced sample cycles; the
-    // series set is fixed per run because attachment never changes
-    // mid-run.
-    if (obs_.phase != nullptr) {
-        s.record("phase.current", obs_.phase->currentPhaseGauge(),
-                 SeriesKind::Gauge);
-        s.record("phase.count", obs_.phase->phaseCountGauge(),
-                 SeriesKind::Gauge);
-    }
-
-    // External series (e.g. serving-engine gauges) land on the same
-    // fenced sample cycle as the built-in ones.
-    if (obs_.sampleSource != nullptr)
-        obs_.sampleSource->recordSample(s, now);
-}
-
-void
-Gpu::closePhaseWindow(Cycle now)
-{
-    PhaseSnapshot snap;
+    CounterSnapshot snap;
     snap.coreInstrs.reserve(cores_.size());
     snap.coreIssue.reserve(cores_.size());
     snap.coreStallMem.reserve(cores_.size());
@@ -519,6 +429,8 @@ Gpu::closePhaseWindow(Cycle now)
         snap.stallIdle += stall_idle;
         snap.l1Access += core->ldst().l1().accesses();
         snap.l1Miss += core->ldst().l1().misses();
+        snap.activeCtas += core->residentCtas();
+        snap.l1MshrInUse += core->ldst().mshr().entriesInUse();
         snap.coreInstrs.push_back(instrs);
         snap.coreIssue.push_back(issue);
         snap.coreStallMem.push_back(stall_mem);
@@ -527,6 +439,7 @@ Gpu::closePhaseWindow(Cycle now)
     for (const auto& part : partitions_) {
         snap.l2Access += part->l2().accesses();
         snap.l2Miss += part->l2().misses();
+        snap.l2MshrInUse += part->l2Mshr().entriesInUse();
         snap.rowHit += part->dram().rowHits();
         snap.rowMiss += part->dram().rowMisses();
         snap.rowConflict += part->dram().rowConflicts();
@@ -548,7 +461,81 @@ Gpu::closePhaseWindow(Cycle now)
         snap.l2MshrOccCycles = obs_.memProfiler->interference(MemLevel::L2)
             .mshrOccupancy.sum();
     }
-    obs_.phase->closeWindow(now, snap);
+    return snap;
+}
+
+void
+Gpu::observeFence(Cycle now, bool phase_due, bool sample_due)
+{
+    if (!phase_due && !sample_due)
+        return;
+    const CounterSnapshot snap = snapshotCounters();
+    // The phase window closes before the sample is taken, so the
+    // sampled phase gauges always reflect every window up to `now`.
+    if (phase_due)
+        obs_.phase->closeWindow(now, snap);
+    if (sample_due)
+        collectSample(now, snap);
+}
+
+void
+Gpu::collectSample(Cycle now, const CounterSnapshot& snap)
+{
+    IntervalSampler& s = *obs_.sampler;
+    s.begin(now);
+
+    s.record("gpu.instrs", static_cast<double>(snap.instrs),
+             SeriesKind::Counter);
+    const Cycle span = now - lastSampleCycle_;
+    const double interval_ipc = span == 0
+        ? 0.0
+        : static_cast<double>(snap.instrs - lastSampleInstrs_) /
+            static_cast<double>(span);
+    s.record("gpu.interval_ipc", interval_ipc, SeriesKind::Gauge);
+    lastSampleCycle_ = now;
+    lastSampleInstrs_ = snap.instrs;
+
+    s.record("gpu.active_ctas", static_cast<double>(snap.activeCtas),
+             SeriesKind::Gauge);
+    s.record("core.issue_cycles", static_cast<double>(snap.issueCycles),
+             SeriesKind::Counter);
+    s.record("core.stall_mem", static_cast<double>(snap.stallMem),
+             SeriesKind::Counter);
+    s.record("core.stall_idle", static_cast<double>(snap.stallIdle),
+             SeriesKind::Counter);
+    s.record("l1d.access", static_cast<double>(snap.l1Access),
+             SeriesKind::Counter);
+    s.record("l1d.miss", static_cast<double>(snap.l1Miss),
+             SeriesKind::Counter);
+    s.record("l1d.mshr_in_use", static_cast<double>(snap.l1MshrInUse),
+             SeriesKind::Gauge);
+    s.record("l2.access", static_cast<double>(snap.l2Access),
+             SeriesKind::Counter);
+    s.record("l2.miss", static_cast<double>(snap.l2Miss),
+             SeriesKind::Counter);
+    s.record("l2.mshr_in_use", static_cast<double>(snap.l2MshrInUse),
+             SeriesKind::Gauge);
+    s.record("dram.row_hit", static_cast<double>(snap.rowHit),
+             SeriesKind::Counter);
+    s.record("dram.row_miss", static_cast<double>(snap.rowMiss),
+             SeriesKind::Counter);
+    s.record("dram.row_conflict", static_cast<double>(snap.rowConflict),
+             SeriesKind::Counter);
+
+    // Phase-telemetry gauges ride the same fenced sample cycles; the
+    // series set is fixed per run because attachment never changes
+    // mid-run.
+    if (obs_.phase != nullptr) {
+        s.record("phase.current", obs_.phase->currentPhaseGauge(),
+                 SeriesKind::Gauge);
+        s.record("phase.count", obs_.phase->phaseCountGauge(),
+                 SeriesKind::Gauge);
+    }
+
+    // External series (e.g. serving-engine gauges) land on the same
+    // fenced sample cycle as the built-in ones.
+    if (obs_.sampleSource != nullptr)
+        obs_.sampleSource->recordSample(s, now);
 }
 
 const KernelInstance&

@@ -21,6 +21,8 @@
 
 namespace bsched {
 
+struct CounterSnapshot;
+
 /** Top-level simulator. */
 class Gpu
 {
@@ -163,12 +165,15 @@ class Gpu
      */
     void fastForward();
 
-    /** Snapshot the sampled counter set into the interval sampler. */
-    void collectSample(Cycle now);
+    /** Read every counter the phase window and the sampler consume. */
+    CounterSnapshot snapshotCounters() const;
 
-    /** Snapshot the cumulative counter set and close the phase-telemetry
-     *  window ending at @p now (only called with obs_.phase attached). */
-    void closePhaseWindow(Cycle now);
+    /** Take one snapshot at @p now and feed it to whichever of the
+     *  phase window (closed first) and the sampler is due. */
+    void observeFence(Cycle now, bool phase_due, bool sample_due);
+
+    /** Record the sampled series from @p snap into the sampler. */
+    void collectSample(Cycle now, const CounterSnapshot& snap);
 
     /** Account a drain that reached zero residency at @p now. */
     void noteDrainComplete(int kernel_id, Cycle now, Cycle latency);

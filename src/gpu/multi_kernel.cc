@@ -4,7 +4,6 @@
 
 #include "sim/check.hh"
 #include "sim/log.hh"
-#include "sim/rng.hh"
 
 namespace bsched {
 
@@ -74,84 +73,6 @@ MultiKernelReport::fairness() const
 
 namespace {
 
-std::uint64_t
-hashString(const std::string& s)
-{
-    std::uint64_t h = mix64(s.size());
-    for (char c : s)
-        h = hashCombine(h, static_cast<std::uint64_t>(
-                               static_cast<unsigned char>(c)));
-    return h;
-}
-
-} // namespace
-
-std::uint64_t
-IsolatedCycleCache::key(const GpuConfig& config, const KernelInfo& kernel)
-{
-    // The machine side is hashed through its printable description
-    // (every behaviour-relevant knob is part of toString); the kernel
-    // side through its launch geometry plus content proxies strong
-    // enough to separate same-name variants (total dynamic work and
-    // program shape). fastForward is deliberately behaviour-neutral by
-    // contract, so either setting hits the same entry.
-    std::uint64_t h = hashString(config.toString());
-    h = hashCombine(h, hashString(kernel.name));
-    h = hashCombine(h, kernel.grid.x);
-    h = hashCombine(h, kernel.grid.y);
-    h = hashCombine(h, kernel.grid.z);
-    h = hashCombine(h, kernel.cta.x);
-    h = hashCombine(h, kernel.cta.y);
-    h = hashCombine(h, kernel.cta.z);
-    h = hashCombine(h, kernel.regsPerThread);
-    h = hashCombine(h, kernel.smemBytesPerCta);
-    h = hashCombine(h, kernel.totalDynamicInstrs());
-    h = hashCombine(h, kernel.program.segments().size());
-    h = hashCombine(h, kernel.program.patterns().size());
-    h = hashCombine(h, static_cast<std::uint64_t>(kernel.program.regCount()));
-    return h;
-}
-
-bool
-IsolatedCycleCache::lookup(std::uint64_t key, Cycle* out) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = map_.find(key);
-    if (it == map_.end())
-        return false;
-    ++hits_;
-    if (out)
-        *out = it->second;
-    return true;
-}
-
-void
-IsolatedCycleCache::insert(std::uint64_t key, Cycle cycles)
-{
-    // An isolated runtime of zero means the caller cached a run that
-    // never executed; lookups would then divide by it (ANTT, slowdown).
-    BSCHED_CHECK(cycles > 0,
-                 "isolated cache: zero-cycle runtime for key ", key);
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_[key] = cycles;
-}
-
-std::size_t
-IsolatedCycleCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return map_.size();
-}
-
-std::uint64_t
-IsolatedCycleCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-namespace {
-
 Cycle
 isolatedRun(const GpuConfig& config, const KernelInfo& kernel)
 {
@@ -161,30 +82,13 @@ isolatedRun(const GpuConfig& config, const KernelInfo& kernel)
     return gpu.kernelCycles(id);
 }
 
-/** Isolated runtime via the cache when one is supplied. */
-Cycle
-cachedIsolatedRun(const GpuConfig& config, const KernelInfo& kernel,
-                  IsolatedCycleCache* cache)
-{
-    if (!cache)
-        return isolatedRun(config, kernel);
-    const std::uint64_t key = IsolatedCycleCache::key(config, kernel);
-    Cycle cycles = 0;
-    if (cache->lookup(key, &cycles))
-        return cycles;
-    cycles = isolatedRun(config, kernel);
-    cache->insert(key, cycles);
-    return cycles;
-}
-
 } // namespace
 
 MultiKernelReport
 runMultiKernel(const GpuConfig& config,
                const std::vector<const KernelInfo*>& kernels,
                MultiKernelPolicy policy, std::vector<int> spatial_split,
-               const std::vector<Cycle>* isolated_cycles,
-               IsolatedCycleCache* cache)
+               const std::vector<Cycle>* isolated_cycles)
 {
     if (kernels.empty())
         fatal("runMultiKernel: no kernels");
@@ -194,12 +98,19 @@ runMultiKernel(const GpuConfig& config,
     if (isolated_cycles) {
         if (isolated_cycles->size() != kernels.size())
             fatal("runMultiKernel: isolated_cycles size mismatch");
+        // A zero baseline means the caller recorded a run that never
+        // executed; ANTT and slowdown would then divide by it.
+        for (std::size_t i = 0; i < kernels.size(); ++i) {
+            const Cycle cycles = (*isolated_cycles)[i];
+            BSCHED_CHECK(cycles > 0, "runMultiKernel: zero isolated "
+                         "cycles for kernel ", i);
+            if (cycles == 0)
+                fatal("runMultiKernel: zero isolated cycles for kernel ", i);
+        }
         report.isolatedCycles = *isolated_cycles;
     } else {
-        for (const KernelInfo* kernel : kernels) {
-            report.isolatedCycles.push_back(
-                cachedIsolatedRun(config, *kernel, cache));
-        }
+        for (const KernelInfo* kernel : kernels)
+            report.isolatedCycles.push_back(isolatedRun(config, *kernel));
     }
 
     switch (policy) {

@@ -14,9 +14,6 @@
 #ifndef BSCHED_GPU_MULTI_KERNEL_HH
 #define BSCHED_GPU_MULTI_KERNEL_HH
 
-#include <cstdint>
-#include <map>
-#include <mutex>
 #include <vector>
 
 #include "gpu/gpu.hh"
@@ -66,59 +63,20 @@ struct MultiKernelReport
 };
 
 /**
- * Shared cache of isolated-baseline runtimes, keyed by kernel content +
- * machine configuration. Policy sweeps (and the serving benchmarks) ask
- * for the same kernel's solo runtime many times; without this each
- * sim point re-simulates it. Thread-safe: parallel sweep points may
- * share one instance. Keys are content hashes, so equal (config,
- * kernel) pairs hit regardless of which point inserted them — and the
- * cached value equals what a fresh isolated run would produce, keeping
- * artifacts byte-identical with and without the cache.
- */
-class IsolatedCycleCache
-{
-  public:
-    /** Content hash of the (machine, kernel) pair. */
-    static std::uint64_t key(const GpuConfig& config,
-                             const KernelInfo& kernel);
-
-    /** True (and *out filled) when @p key is cached. */
-    bool lookup(std::uint64_t key, Cycle* out) const;
-
-    /** Record @p cycles for @p key (last writer wins; values for one
-     *  key are identical by construction). */
-    void insert(std::uint64_t key, Cycle cycles);
-
-    /** Entries currently cached. */
-    std::size_t size() const;
-
-    /** Successful lookups so far (avoided isolated re-simulations). */
-    std::uint64_t hits() const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::map<std::uint64_t, Cycle> map_;
-    mutable std::uint64_t hits_ = 0;
-};
-
-/**
  * Run @p kernels under @p policy on @p config. For Spatial, cores are
  * split evenly (in launch order) unless @p spatial_split gives explicit
  * boundaries (ascending core indices, one per kernel boundary).
  * Isolated baselines are simulated with the same config on the full
  * machine, unless @p isolated_cycles supplies precomputed values (one
- * per kernel), which avoids re-simulating them across policies. When
- * @p cache is given (and @p isolated_cycles is not), baselines are
- * looked up / deposited there instead, deduplicating across mixes that
- * share kernels.
+ * per kernel, each > 0), which avoids re-simulating them across
+ * policies and mixes that share kernels.
  */
 MultiKernelReport runMultiKernel(const GpuConfig& config,
                                  const std::vector<const KernelInfo*>& kernels,
                                  MultiKernelPolicy policy,
                                  std::vector<int> spatial_split = {},
                                  const std::vector<Cycle>* isolated_cycles =
-                                     nullptr,
-                                 IsolatedCycleCache* cache = nullptr);
+                                     nullptr);
 
 } // namespace bsched
 

@@ -394,7 +394,7 @@ void writeMemProfileJson(std::ostream& os,
                          const std::vector<MemProfilePoint>& points,
                          const std::string& label);
 
-/** Single-run convenience overload (the bench `--mem-profile` path). */
+/** Single-run convenience overload (the bench `--artifacts` path). */
 void writeMemProfileJson(std::ostream& os, const MemProfiler& prof,
                          const std::string& label);
 

@@ -32,7 +32,7 @@ safeShare(std::uint64_t part, std::uint64_t whole)
 } // namespace
 
 const WindowDeltas&
-WindowedMetrics::close(Cycle end, const PhaseSnapshot& snap)
+WindowedMetrics::close(Cycle end, const CounterSnapshot& snap)
 {
     if (!endCycles_.empty() && end <= endCycles_.back()) {
         panic("phase: window close at cycle ", end,
@@ -239,7 +239,7 @@ PhaseTelemetry::emitChange(Cycle now, int kernel_id, std::int64_t scope,
 }
 
 void
-PhaseTelemetry::closeWindow(Cycle now, const PhaseSnapshot& snap)
+PhaseTelemetry::closeWindow(Cycle now, const CounterSnapshot& snap)
 {
     const std::size_t window = metrics_.windows();
     const WindowDeltas& d = metrics_.close(now, snap);

@@ -68,11 +68,12 @@ struct PhaseConfig
 };
 
 /**
- * Cumulative counter values read at one window boundary. The Gpu fills
- * this from component accessors (the same ones collectSample() reads);
- * WindowedMetrics differences consecutive snapshots into window deltas.
+ * Counter values read at one fenced cycle. The Gpu fills this once per
+ * fenced cycle and hands the same snapshot to the phase window and the
+ * interval sampler; WindowedMetrics differences consecutive snapshots
+ * into window deltas.
  */
-struct PhaseSnapshot
+struct CounterSnapshot
 {
     std::uint64_t instrs = 0;
     std::uint64_t issueCycles = 0;
@@ -85,6 +86,11 @@ struct PhaseSnapshot
     std::uint64_t rowHit = 0;
     std::uint64_t rowMiss = 0;
     std::uint64_t rowConflict = 0;
+
+    /** Instantaneous gauges (read by the sampler only). */
+    std::uint64_t activeCtas = 0;
+    std::uint64_t l1MshrInUse = 0;
+    std::uint64_t l2MshrInUse = 0;
 
     /** Per-core cumulative counters (index = core id). */
     std::vector<std::uint64_t> coreInstrs;
@@ -133,7 +139,7 @@ class WindowedMetrics
   public:
     /** Close the window ending at @p end with cumulative @p snap;
      *  returns the derived channel values of that window. */
-    const WindowDeltas& close(Cycle end, const PhaseSnapshot& snap);
+    const WindowDeltas& close(Cycle end, const CounterSnapshot& snap);
 
     std::size_t windows() const { return endCycles_.size(); }
     const std::vector<Cycle>& endCycles() const { return endCycles_; }
@@ -174,7 +180,7 @@ class WindowedMetrics
     }
 
   private:
-    PhaseSnapshot prev_;
+    CounterSnapshot prev_;
     Cycle prevCycle_ = 0;
     WindowDeltas last_;
     bool hasInterference_ = false;
@@ -290,7 +296,7 @@ class PhaseTelemetry
 
     /** Close the window ending at @p now: difference the snapshot, feed
      *  every detector, emit phase.change instants for commits. */
-    void closeWindow(Cycle now, const PhaseSnapshot& snap);
+    void closeWindow(Cycle now, const CounterSnapshot& snap);
 
     // --- sampler gauges -------------------------------------------------
 

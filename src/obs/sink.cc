@@ -86,6 +86,9 @@ writeStatsCsv(std::ostream& os, const StatSet& stats)
         os << name << "," << jsonNumber(value) << "\n";
 }
 
+namespace {
+
+/** Write sampled time series as a JSON object (period, cycles, data). */
 void
 writeSeriesJson(std::ostream& os, const IntervalSampler& sampler)
 {
@@ -116,6 +119,8 @@ writeSeriesJson(std::ostream& os, const IntervalSampler& sampler)
     }
     os << "}}";
 }
+
+} // namespace
 
 void
 writeRunJson(std::ostream& os, const RunResult& result,

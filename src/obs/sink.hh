@@ -50,9 +50,6 @@ void writeStatsJson(std::ostream& os, const StatSet& stats);
 /** Write a StatSet as "name,value" CSV lines (header included). */
 void writeStatsCsv(std::ostream& os, const StatSet& stats);
 
-/** Write sampled time series as a JSON object (period, cycles, data). */
-void writeSeriesJson(std::ostream& os, const IntervalSampler& sampler);
-
 /**
  * Write one run with the `bsched-run-v1` schema: label, headline
  * numbers, derived metrics, the full StatSet, and — when @p sampler is

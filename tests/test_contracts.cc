@@ -333,12 +333,17 @@ TEST(ContractViolations, WarpSchedEmptyReadySetFires)
     EXPECT_THROW(baws.pick(ready, warps), ContractViolation);
 }
 
-TEST(ContractViolations, IsolatedCacheZeroCycleInsertFires)
+TEST(ContractViolations, MultiKernelZeroIsolatedCyclesFires)
 {
     SKIP_UNLESS_CHECKS();
     ScopedContractThrows guard;
-    IsolatedCycleCache cache;
-    EXPECT_THROW(cache.insert(1, 0), ContractViolation);
+    // The baseline is checked before anything is simulated.
+    const KernelInfo k;
+    const std::vector<Cycle> isolated = {0};
+    EXPECT_THROW(runMultiKernel(GpuConfig::gtx480(), {&k},
+                                MultiKernelPolicy::Sequential, {},
+                                &isolated),
+                 ContractViolation);
 }
 
 // --- fast-forward soundness regressions ---------------------------------

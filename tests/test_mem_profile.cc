@@ -354,7 +354,7 @@ serialized(const MemProfiler& prof)
 }
 
 /**
- * The `--mem-profile` artifact is byte-identical across repeats and
+ * The `memprofile.json` run artifact is byte-identical across repeats and
  * across `--jobs` counts: the profiled runs are deterministic and the
  * serializer iterates only ordered containers with fixed boundaries.
  */

@@ -123,38 +123,7 @@ TEST(MultiKernel, SequentialIsFairAndBoundsMaxSlowdown)
     EXPECT_GE(report.maxSlowdown(), report.antt());
 }
 
-TEST(IsolatedCycleCache, KeyIsContentBased)
-{
-    const KernelInfo a1 = kernel("a", 20);
-    const KernelInfo a2 = kernel("a", 20);
-    const KernelInfo b = kernel("b", 40);
-    const GpuConfig c = cfg();
-    // Same content -> same key, regardless of object identity.
-    EXPECT_EQ(IsolatedCycleCache::key(c, a1),
-              IsolatedCycleCache::key(c, a2));
-    EXPECT_NE(IsolatedCycleCache::key(c, a1),
-              IsolatedCycleCache::key(c, b));
-    // The machine configuration is part of the key.
-    GpuConfig other = cfg();
-    other.numCores = 2;
-    EXPECT_NE(IsolatedCycleCache::key(c, a1),
-              IsolatedCycleCache::key(other, a1));
-}
-
-TEST(IsolatedCycleCache, LookupInsertAndHitAccounting)
-{
-    IsolatedCycleCache cache;
-    Cycle out = 0;
-    EXPECT_FALSE(cache.lookup(42, &out));
-    EXPECT_EQ(cache.hits(), 0u);
-    cache.insert(42, 1234);
-    EXPECT_TRUE(cache.lookup(42, &out));
-    EXPECT_EQ(out, 1234u);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.hits(), 1u);
-}
-
-TEST(IsolatedCycleCache, CachedRunsMatchUncachedBaselines)
+TEST(MultiKernel, PrecomputedBaselinesMatchSimulated)
 {
     const KernelInfo a = kernel("a", 20);
     const KernelInfo b = kernel("b", 40);
@@ -162,25 +131,28 @@ TEST(IsolatedCycleCache, CachedRunsMatchUncachedBaselines)
     const auto plain =
         runMultiKernel(c, {&a, &b}, MultiKernelPolicy::Spatial);
 
-    IsolatedCycleCache cache;
-    const auto first = runMultiKernel(c, {&a, &b},
+    // Baselines handed in give the same report as simulated ones, so a
+    // sweep can simulate each distinct kernel's baseline once.
+    const std::vector<Cycle> isolated = plain.isolatedCycles;
+    const auto given = runMultiKernel(c, {&a, &b},
                                       MultiKernelPolicy::Spatial, {},
-                                      nullptr, &cache);
-    EXPECT_EQ(cache.size(), 2u);
-    const std::uint64_t hits_after_first = cache.hits();
-    const auto second = runMultiKernel(c, {&a, &b},
-                                       MultiKernelPolicy::Mixed, {},
-                                       nullptr, &cache);
-    // The second run resolved both baselines from the cache.
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.hits(), hits_after_first + 2);
+                                      &isolated);
+    EXPECT_EQ(given.isolatedCycles, plain.isolatedCycles);
+    EXPECT_EQ(given.sharedCycles, plain.sharedCycles);
+    EXPECT_EQ(given.totalCycles, plain.totalCycles);
+    EXPECT_EQ(given.stp(), plain.stp());
+    EXPECT_EQ(given.antt(), plain.antt());
+}
 
-    // Cached baselines equal freshly simulated ones, so the derived
-    // metrics are identical with and without the cache.
-    ASSERT_EQ(first.isolatedCycles.size(), plain.isolatedCycles.size());
-    EXPECT_EQ(first.isolatedCycles, plain.isolatedCycles);
-    EXPECT_EQ(first.sharedCycles, plain.sharedCycles);
-    EXPECT_EQ(second.isolatedCycles, plain.isolatedCycles);
+TEST(MultiKernel, ZeroIsolatedCyclesDies)
+{
+    const KernelInfo a = kernel("a", 20);
+    const KernelInfo b = kernel("b", 40);
+    const std::vector<Cycle> isolated = {100, 0};
+    EXPECT_DEATH(runMultiKernel(cfg(), {&a, &b},
+                                MultiKernelPolicy::Sequential, {},
+                                &isolated),
+                 "zero isolated cycles");
 }
 
 TEST(MultiKernel, PolicyNames)

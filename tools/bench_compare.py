@@ -44,14 +44,15 @@ schema and prints a per-metric delta table. Two schemas are understood:
     as they approach 0.
 
 ``bsched-servetrace-v1``
-    Decision-audit artifact from ``fig_serve_trace --emit-json`` (or
-    any bench binary's ``--serve-trace``). Decision counts, drain
+    Decision-audit artifact from ``fig_serve_trace --emit-json``.
+    Decision counts, drain
     counters, predictor sample counts and the decision-log length must
     match exactly; the predictor's mean absolute error is compared
     relatively.
 
 ``bsched-phase-v1``
-    Phase-telemetry artifact from any bench binary's ``--phase``.
+    Phase-telemetry artifact, ``phase.json`` under a figure binary's
+    ``--artifacts DIR``.
     Window counts, detected phase counts and every phase boundary
     (start window) must match the baseline exactly — the telemetry is
     a pure observer of a bit-deterministic run, so a moved boundary is
