@@ -19,6 +19,10 @@ SimtCore::SimtCore(const GpuConfig& config, std::uint32_t id)
       ctas_(config.maxCtasPerCore),
       resources_(config),
       ldst_(config, id),
+      slotIds_(config.numSchedulersPerCore),
+      ageOrder_(config.numSchedulersPerCore),
+      slotCtas_(config.numSchedulersPerCore),
+      ctaIssued_(config.maxCtasPerCore, 0),
       warpWake_(config.maxWarpsPerCore(), 0),
       warpKernel_(config.maxWarpsPerCore(), kInvalidId),
       freeWarpSlots_(config.maxWarpsPerCore())
@@ -27,6 +31,8 @@ SimtCore::SimtCore(const GpuConfig& config, std::uint32_t id)
         schedulers_.push_back(WarpScheduler::create(
             config.warpSched, config.twoLevelActiveSize));
     }
+    for (std::size_t w = 0; w < warps_.size(); ++w)
+        slotIds_[w % slotIds_.size()].push_back(static_cast<int>(w));
 }
 
 bool
@@ -75,6 +81,7 @@ SimtCore::launchCta(Cycle now, const KernelInfo& kernel, int kernel_id,
     cta.footprint = fp;
     cta.kernel = &kernel;
     cta.launchCycle = now;
+    ctaIssued_[static_cast<std::size_t>(slot)] = 0;
     resources_.allocate(fp);
 
     std::uint32_t placed = 0;
@@ -95,6 +102,8 @@ SimtCore::launchCta(Cycle now, const KernelInfo& kernel, int kernel_id,
         warp.sb.reset();
         warpWake_[w] = 0;
         warpKernel_[w] = kernel_id;
+        // The youngest CTA: its warps go last in their slot's age order.
+        ageOrder_[w % ageOrder_.size()].push_back(static_cast<int>(w));
         --freeWarpSlots_;
         if (warp.cursor.done(kernel.program)) {
             // Degenerate empty program: warp is born finished.
@@ -105,8 +114,14 @@ SimtCore::launchCta(Cycle now, const KernelInfo& kernel, int kernel_id,
     }
     if (placed != fp.warps)
         panic(name_, ": warp slot accounting mismatch");
+    regroupSlots();
 
-    KernelTrack& track = kernels_[kernel_id];
+    BSCHED_CHECK(kernel_id >= 0, name_, ": launch of invalid kernel id ",
+                 kernel_id);
+    const auto kernel_idx = static_cast<std::size_t>(kernel_id);
+    if (kernel_idx >= kernels_.size())
+        kernels_.resize(kernel_idx + 1);
+    KernelTrack& track = kernels_[kernel_idx];
     if (track.firstLaunch == kCycleNever)
         track.firstLaunch = now;
     ++ctasLaunched_;
@@ -163,30 +178,38 @@ SimtCore::residentCtas(int kernel_id) const
     return count;
 }
 
+const SimtCore::KernelTrack*
+SimtCore::track(int kernel_id) const
+{
+    if (kernel_id < 0 ||
+        static_cast<std::size_t>(kernel_id) >= kernels_.size())
+        return nullptr;
+    return &kernels_[static_cast<std::size_t>(kernel_id)];
+}
+
 std::uint64_t
 SimtCore::instrsIssued(int kernel_id) const
 {
-    auto it = kernels_.find(kernel_id);
-    return it == kernels_.end() ? 0 : it->second.issued;
+    const KernelTrack* t = track(kernel_id);
+    return t == nullptr ? 0 : t->issued;
 }
 
 Cycle
 SimtCore::kernelFirstLaunch(int kernel_id) const
 {
-    auto it = kernels_.find(kernel_id);
-    return it == kernels_.end() ? kCycleNever : it->second.firstLaunch;
+    const KernelTrack* t = track(kernel_id);
+    return t == nullptr ? kCycleNever : t->firstLaunch;
 }
 
 std::vector<std::uint64_t>
 SimtCore::ctaIssueCounts(int kernel_id) const
 {
     std::vector<std::uint64_t> counts;
-    auto it = kernels_.find(kernel_id);
-    if (it != kernels_.end())
-        counts = it->second.completedCtaIssued;
-    for (const HwCta& cta : ctas_) {
-        if (cta.valid && cta.kernelId == kernel_id)
-            counts.push_back(cta.issued);
+    if (const KernelTrack* t = track(kernel_id))
+        counts = t->completedCtaIssued;
+    for (std::size_t i = 0; i < ctas_.size(); ++i) {
+        if (ctas_[i].valid && ctas_[i].kernelId == kernel_id)
+            counts.push_back(ctaIssued_[i]);
     }
     return counts;
 }
@@ -277,10 +300,11 @@ SimtCore::classifyStalledSlot(std::size_t slot, Cycle now) const
                 barrier_kernel = warp.kernelId;
             continue;
         }
-        // SoA fast path: the issue scan caches every scoreboard-blocked
-        // warp's wake time, so blocked warps classify from one array
-        // read — kCycleNever marks an outstanding load (`scoreboard`),
-        // a finite future cycle a fixed-latency result (`pipeline`).
+        // SoA fast path: the quiet cycle's issue walk visited every live
+        // warp and cached each scoreboard-blocked warp's wake time, so
+        // blocked warps classify from one array read — kCycleNever
+        // marks an outstanding load (`scoreboard`), a finite future
+        // cycle a fixed-latency result (`pipeline`).
         const Cycle wake = warpWake_[w];
         if (wake > now) {
             if (wake == kCycleNever) {
@@ -387,6 +411,7 @@ SimtCore::issueFrom(int warp_id, Cycle now)
       }
       case Opcode::Bar:
         warp.atBarrier = true;
+        ++ctas_[static_cast<std::size_t>(warp.hwCta)].warpsArrived;
         ++issuedBar_;
         break;
       case Opcode::Exit:
@@ -395,9 +420,8 @@ SimtCore::issueFrom(int warp_id, Cycle now)
 
     ++warp.instrsIssued;
     ++issuedTotal_;
-    HwCta& cta = ctas_[static_cast<std::size_t>(warp.hwCta)];
-    ++cta.issued;
-    ++kernels_[warp.kernelId].issued;
+    ++ctaIssued_[static_cast<std::size_t>(warp.hwCta)];
+    ++kernels_[static_cast<std::size_t>(warp.kernelId)].issued;
 
     const bool was_barrier = instr.op == Opcode::Bar;
     warp.cursor.advance(prog, warp.ctaId);
@@ -414,6 +438,8 @@ SimtCore::finishWarp(int warp_id, Cycle now)
     warp.done = true;
     HwCta& cta = ctas_[static_cast<std::size_t>(warp.hwCta)];
     ++cta.warpsDone;
+    if (warp.atBarrier)
+        --cta.warpsArrived; // a done warp no longer counts as arrived
     if (cta.warpsDone == cta.warpsTotal)
         completeCta(warp.hwCta, now);
     else
@@ -427,6 +453,12 @@ SimtCore::completeCta(int hw_cta, Cycle now)
     if (!cta.valid)
         panic(name_, ": completing invalid CTA slot");
 
+    for (std::vector<int>& order : ageOrder_) {
+        std::erase_if(order, [&](int id) {
+            return warps_[static_cast<std::size_t>(id)].hwCta == hw_cta;
+        });
+    }
+    regroupSlots();
     for (Warp& warp : warps_) {
         if (warp.valid && warp.hwCta == hw_cta) {
             warp.clear();
@@ -448,9 +480,11 @@ SimtCore::completeCta(int hw_cta, Cycle now)
             sched->notifyBlockRetired(cta.blockSeq);
     }
     resources_.release(cta.footprint);
-    kernels_[cta.kernelId].completedCtaIssued.push_back(cta.issued);
+    const std::uint64_t issued = ctaIssued_[static_cast<std::size_t>(hw_cta)];
+    kernels_[static_cast<std::size_t>(cta.kernelId)]
+        .completedCtaIssued.push_back(issued);
     completed_.push_back(
-        {id_, cta.kernelId, cta.ctaId, cta.issued, now, cta.kernel});
+        {id_, cta.kernelId, cta.ctaId, issued, now, cta.kernel});
     ++ctasCompleted_;
 
     if (tracer_ != nullptr) {
@@ -460,7 +494,7 @@ SimtCore::completeCta(int hw_cta, Cycle now)
         event.kind = TraceEventKind::CtaComplete;
         event.kernelId = cta.kernelId;
         event.arg0 = cta.ctaId;
-        event.arg1 = static_cast<std::int64_t>(cta.issued);
+        event.arg1 = static_cast<std::int64_t>(issued);
         tracer_->record(track_, event);
     }
     cta.valid = false;
@@ -477,23 +511,24 @@ SimtCore::setTracer(Tracer* tracer)
 }
 
 void
+SimtCore::regroupSlots()
+{
+    for (std::size_t s = 0; s < ageOrder_.size(); ++s)
+        groupByCta(ageOrder_[s], warps_, slotCtas_[s]);
+}
+
+void
 SimtCore::checkBarrier(int hw_cta)
 {
-    std::uint32_t live = 0;
-    std::uint32_t arrived = 0;
-    for (const Warp& warp : warps_) {
-        if (!warp.valid || warp.hwCta != hw_cta || warp.done)
-            continue;
-        ++live;
-        if (warp.atBarrier)
-            ++arrived;
+    HwCta& cta = ctas_[static_cast<std::size_t>(hw_cta)];
+    const std::uint32_t live = cta.warpsTotal - cta.warpsDone;
+    if (live == 0 || cta.warpsArrived != live)
+        return;
+    for (Warp& warp : warps_) {
+        if (warp.valid && warp.hwCta == hw_cta)
+            warp.atBarrier = false;
     }
-    if (live > 0 && arrived == live) {
-        for (Warp& warp : warps_) {
-            if (warp.valid && warp.hwCta == hw_cta)
-                warp.atBarrier = false;
-        }
-    }
+    cta.warpsArrived = 0;
 }
 
 bool
@@ -509,6 +544,130 @@ SimtCore::applyCompletions(Cycle now)
         applied = true;
     }
     return applied;
+}
+
+template <class Policy>
+bool
+SimtCore::issueSlots(Cycle now)
+{
+    std::uint32_t issued = 0;
+    const bool profiling = profiler_ != nullptr;
+    const std::size_t none = warps_.size();
+    for (std::size_t s = 0; s < schedulers_.size(); ++s) {
+        // Profiler only: the lowest warp id refused for each stall
+        // category. The walk visits every live warp of a slot that
+        // issues nothing, so this is the first-seen warp of each
+        // category in warp-id order, whatever order the policy walks.
+        std::size_t mem_warp = none;
+        std::size_t sb_warp = none;
+        std::size_t pipe_warp = none;
+        std::size_t barrier_warp = none;
+        auto issuable = [&](int id) {
+            const auto w = static_cast<std::size_t>(id);
+            // SoA fast path: a slot whose cached scoreboard wake time
+            // is in the future cannot issue — skip without touching
+            // the warp record (a cached wake implies the warp is live).
+            const Cycle cached_wake = warpWake_[w];
+            if (cached_wake > now) {
+                BSCHED_CHECK(
+                    warps_[w].live() && !warps_[w].atBarrier &&
+                        !warps_[w].sb.canIssue(
+                            warps_[w].cursor.instr(warps_[w].kernel->program),
+                            now),
+                    name_, ": stale warp wake cache for warp ", w,
+                    " (cached ", cached_wake, " at cycle ", now, ")");
+                if (profiling) {
+                    std::size_t& cat =
+                        cached_wake == kCycleNever ? sb_warp : pipe_warp;
+                    cat = std::min(cat, w);
+                }
+                return false;
+            }
+            const Warp& warp = warps_[w];
+            if (!warp.live())
+                return false;
+            if (warp.atBarrier) {
+                barrier_warp = std::min(barrier_warp, w);
+                return false;
+            }
+            const Instr& instr = warp.cursor.instr(warp.kernel->program);
+            if (!warp.sb.canIssue(instr, now)) {
+                // Cache the wake time; cleared on release/issue/launch.
+                const Cycle wake = warp.sb.nextReadyCycle(instr);
+                warpWake_[w] = wake;
+                if (profiling) {
+                    std::size_t& cat =
+                        wake == kCycleNever ? sb_warp : pipe_warp;
+                    cat = std::min(cat, w);
+                }
+                return false;
+            }
+            if (structuralReady(instr, now))
+                return true;
+            if (profiling) {
+                // The refusal kind follows from the opcode alone: only
+                // memory ops (LD/ST port, LD/ST queue, MSHRs, shared
+                // memory) and the SFU port can structurally refuse a
+                // scoreboard-clear warp.
+                std::size_t& cat =
+                    instr.op == Opcode::Sfu ? pipe_warp : mem_warp;
+                cat = std::min(cat, w);
+            }
+            return false;
+        };
+        const int chosen = static_cast<Policy&>(*schedulers_[s]).walkWith(
+            IssueView{warps_, slotIds_[s], ageOrder_[s], slotCtas_[s],
+                      ctaIssued_},
+            issuable);
+        if (chosen < 0) {
+            if (profiling) {
+                // Same exclusive priority as classifyStalledSlot:
+                // mem_structural > scoreboard > pipeline > barrier;
+                // a slot with no live warp at all is `empty`.
+                std::size_t witness = none;
+                SlotCat cat = SlotCat::Empty;
+                if (mem_warp != none) {
+                    witness = mem_warp;
+                    cat = SlotCat::MemStructural;
+                } else if (sb_warp != none) {
+                    witness = sb_warp;
+                    cat = SlotCat::Scoreboard;
+                } else if (pipe_warp != none) {
+                    witness = pipe_warp;
+                    cat = SlotCat::Pipeline;
+                } else if (barrier_warp != none) {
+                    witness = barrier_warp;
+                    cat = SlotCat::Barrier;
+                }
+                profiler_->recordSlot(
+                    id_, witness == none ? kInvalidId : warpKernel_[witness],
+                    cat);
+            }
+            continue;
+        }
+        warpWake_[static_cast<std::size_t>(chosen)] = 0;
+        // Notify before issuing: issueFrom can retire the warp's CTA and
+        // recycle the slot, after which its metadata is gone.
+        schedulers_[s]->notifyIssued(chosen, warps_);
+        if (profiler_ != nullptr) {
+            // Attribute before issueFrom for the same recycling reason.
+            profiler_->recordSlot(
+                id_, warps_[static_cast<std::size_t>(chosen)].kernelId,
+                SlotCat::Issued);
+        }
+        issueFrom(chosen, now);
+        ++issued;
+    }
+    // Issue-bandwidth conservation: one instruction per scheduler slot
+    // per cycle, and the structural units never exceed their budgets.
+    BSCHED_INVARIANT(issued <= schedulers_.size(), name_,
+                     ": issued ", issued, " instructions with ",
+                     schedulers_.size(), " scheduler slots");
+    BSCHED_INVARIANT(memIssuedThisCycle_ <= config_.ldstUnits, name_,
+                     ": memory issues exceed LD/ST ports");
+    BSCHED_INVARIANT(sfuIssuedThisCycle_ <= config_.sfuUnits, name_,
+                     ": SFU issues exceed SFU ports");
+    return issued > 0;
 }
 
 bool
@@ -527,132 +686,20 @@ SimtCore::tick(Cycle now)
         return did_work;
 
     bool issued_any = false;
-    std::uint32_t issuedThisCycle = 0;
-    const bool profiling = profiler_ != nullptr;
-    std::vector<int>& ready = readyScratch_;
-    for (std::size_t s = 0; s < schedulers_.size(); ++s) {
-        ready.clear();
-        // Stall classification is fused into the issue scan: the scan
-        // touches exactly the warps classifyStalledSlot would re-read,
-        // so when the profiler is attached the first-seen candidate per
-        // category is collected here instead of in a second pass.
-        int barrier_kernel = kInvalidId;
-        int mem_kernel = kInvalidId;
-        int sb_kernel = kInvalidId;
-        int pipe_kernel = kInvalidId;
-        for (std::size_t w = s; w < warps_.size();
-             w += schedulers_.size()) {
-            // SoA fast path: a slot whose cached scoreboard wake time
-            // is in the future cannot issue — skip without touching
-            // the warp record (warpKernel_ mirrors the occupying
-            // warp's kernel; a cached wake implies the warp is live).
-            const Cycle cached_wake = warpWake_[w];
-            if (cached_wake > now) {
-                BSCHED_CHECK(
-                    warps_[w].live() && !warps_[w].atBarrier &&
-                        !warps_[w].sb.canIssue(
-                            warps_[w].cursor.instr(warps_[w].kernel->program),
-                            now),
-                    name_, ": stale warp wake cache for warp ", w,
-                    " (cached ", cached_wake, " at cycle ", now, ")");
-                if (profiling) {
-                    if (cached_wake == kCycleNever) {
-                        if (sb_kernel == kInvalidId)
-                            sb_kernel = warpKernel_[w];
-                    } else if (pipe_kernel == kInvalidId) {
-                        pipe_kernel = warpKernel_[w];
-                    }
-                }
-                continue;
-            }
-            const Warp& warp = warps_[w];
-            if (!warp.live())
-                continue;
-            if (warp.atBarrier) {
-                if (barrier_kernel == kInvalidId)
-                    barrier_kernel = warp.kernelId;
-                continue;
-            }
-            const Instr& instr = warp.cursor.instr(warp.kernel->program);
-            if (!warp.sb.canIssue(instr, now)) {
-                // Cache the wake time; cleared on release/issue/launch.
-                const Cycle wake = warp.sb.nextReadyCycle(instr);
-                warpWake_[w] = wake;
-                if (profiling) {
-                    if (wake == kCycleNever) {
-                        if (sb_kernel == kInvalidId)
-                            sb_kernel = warp.kernelId;
-                    } else if (pipe_kernel == kInvalidId) {
-                        pipe_kernel = warp.kernelId;
-                    }
-                }
-                continue;
-            }
-            if (structuralReady(instr, now)) {
-                ready.push_back(static_cast<int>(w));
-            } else if (profiling) {
-                // The refusal kind follows from the opcode alone: only
-                // memory ops (LD/ST port, LD/ST queue, MSHRs, shared
-                // memory) and the SFU port can structurally refuse a
-                // scoreboard-clear warp.
-                if (instr.op == Opcode::Sfu) {
-                    if (pipe_kernel == kInvalidId)
-                        pipe_kernel = warp.kernelId;
-                } else if (mem_kernel == kInvalidId) {
-                    mem_kernel = warp.kernelId;
-                }
-            }
-        }
-        if (ready.empty()) {
-            if (profiling) {
-                // Same exclusive priority as classifyStalledSlot:
-                // mem_structural > scoreboard > pipeline > barrier;
-                // a slot with no live warp at all is `empty`.
-                int kernel = kInvalidId;
-                SlotCat cat = SlotCat::Empty;
-                if (mem_kernel != kInvalidId) {
-                    kernel = mem_kernel;
-                    cat = SlotCat::MemStructural;
-                } else if (sb_kernel != kInvalidId) {
-                    kernel = sb_kernel;
-                    cat = SlotCat::Scoreboard;
-                } else if (pipe_kernel != kInvalidId) {
-                    kernel = pipe_kernel;
-                    cat = SlotCat::Pipeline;
-                } else if (barrier_kernel != kInvalidId) {
-                    kernel = barrier_kernel;
-                    cat = SlotCat::Barrier;
-                }
-                profiler_->recordSlot(id_, kernel, cat);
-            }
-            continue;
-        }
-        const int chosen = schedulers_[s]->pick(ready, warps_);
-        if (chosen < 0)
-            panic(name_, ": scheduler returned no warp from ready set");
-        warpWake_[static_cast<std::size_t>(chosen)] = 0;
-        // Notify before issuing: issueFrom can retire the warp's CTA and
-        // recycle the slot, after which its metadata is gone.
-        schedulers_[s]->notifyIssued(chosen, warps_);
-        if (profiler_ != nullptr) {
-            // Attribute before issueFrom for the same recycling reason.
-            profiler_->recordSlot(
-                id_, warps_[static_cast<std::size_t>(chosen)].kernelId,
-                SlotCat::Issued);
-        }
-        issueFrom(chosen, now);
-        issued_any = true;
-        ++issuedThisCycle;
+    switch (config_.warpSched) {
+      case WarpSchedKind::LRR:
+        issued_any = issueSlots<LrrScheduler>(now);
+        break;
+      case WarpSchedKind::GTO:
+        issued_any = issueSlots<GtoScheduler>(now);
+        break;
+      case WarpSchedKind::TwoLevel:
+        issued_any = issueSlots<TwoLevelScheduler>(now);
+        break;
+      case WarpSchedKind::BAWS:
+        issued_any = issueSlots<BawsScheduler>(now);
+        break;
     }
-    // Issue-bandwidth conservation: one instruction per scheduler slot
-    // per cycle, and the structural units never exceed their budgets.
-    BSCHED_INVARIANT(issuedThisCycle <= schedulers_.size(), name_,
-                     ": issued ", issuedThisCycle, " instructions with ",
-                     schedulers_.size(), " scheduler slots");
-    BSCHED_INVARIANT(memIssuedThisCycle_ <= config_.ldstUnits, name_,
-                     ": memory issues exceed LD/ST ports");
-    BSCHED_INVARIANT(sfuIssuedThisCycle_ <= config_.sfuUnits, name_,
-                     ": SFU issues exceed SFU ports");
     if (issued_any) {
         ++issueCycles_;
     } else if (!ldst_.drained()) {

@@ -11,7 +11,6 @@
 #define BSCHED_CORE_SIMT_CORE_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -32,8 +31,9 @@ class MemProfiler;
 
 /**
  * Why one warp could not issue this cycle — the reason the issue
- * loop's scoreboard + structuralReady() check collapses to a bool. Produced by SimtCore::warpRefusal() on the
- * profiling path only; the fast issue loop never computes it.
+ * walk's scoreboard + structuralReady() check collapses to a bool.
+ * Produced by SimtCore::warpRefusal() for quiet-span accounting only;
+ * the issue walk never computes it.
  */
 enum class IssueRefusal : std::uint8_t
 {
@@ -164,10 +164,10 @@ class SimtCore
 
     /**
      * Why @p warp cannot issue at @p now (IssueRefusal::None if it can).
-     * Must stay the exact reason-reporting mirror of the issue loop's
-     * scoreboard + structuralReady() check: the fast issue loop keeps
-     * the bool so the profiling-disabled path does no extra work, and
-     * the profiler calls this only for slots that failed to issue.
+     * Must stay the exact reason-reporting mirror of the issue walk's
+     * scoreboard + structuralReady() check: the walk keeps the bool so
+     * the profiling-disabled path does no extra work, and quiet-span
+     * accounting calls this only for slots that issue nothing.
      */
     IssueRefusal warpRefusal(const Warp& warp, Cycle now) const;
 
@@ -204,7 +204,9 @@ class SimtCore
         std::uint64_t blockSeq = 0;
         std::uint32_t warpsTotal = 0;
         std::uint32_t warpsDone = 0;
-        std::uint64_t issued = 0;
+        /** Not-done warps waiting at the barrier; it releases when
+         *  every not-done warp has arrived. */
+        std::uint32_t warpsArrived = 0;
         CtaFootprint footprint{};
         const KernelInfo* kernel = nullptr;
         Cycle launchCycle = 0;
@@ -217,16 +219,27 @@ class SimtCore
         std::vector<std::uint64_t> completedCtaIssued;
     };
 
+    /** The track of @p kernel_id; null if it never ran here. */
+    const KernelTrack* track(int kernel_id) const;
+
     /** Structural half of the issue check (ports, LD/ST admission,
      *  smem); the scoreboard is the other half. */
     bool structuralReady(const Instr& instr, Cycle now) const;
-    /** Classify a slot that issued nothing this cycle (profiler path):
-     *  the category and the kernel it is attributed to. */
+    /** Classify a slot that issues nothing across a quiet span
+     *  (profiler path): the category and the kernel it is attributed
+     *  to. */
     std::pair<int, SlotCat> classifyStalledSlot(std::size_t slot,
                                                 Cycle now) const;
+    /** One cycle's issue walk over every slot with @p Policy's walk
+     *  inlined; true if any slot issued. */
+    template <class Policy>
+    bool issueSlots(Cycle now);
+    /** Regroup every slot's age order by CTA (after launch/retire). */
+    void regroupSlots();
     void issueFrom(int warp_id, Cycle now);
     void finishWarp(int warp_id, Cycle now);
     void completeCta(int hw_cta, Cycle now);
+    /** Release the CTA's barrier once every live warp arrived. */
     void checkBarrier(int hw_cta);
     /** Release completed loads; true if any release was applied. */
     bool applyCompletions(Cycle now);
@@ -239,28 +252,39 @@ class SimtCore
     CoreResources resources_;
     LdstUnit ldst_;
     std::vector<std::unique_ptr<WarpScheduler>> schedulers_;
-    std::map<int, KernelTrack> kernels_;
+    /** Per-kernel tracks, indexed by the GPU's dense kernel id. */
+    std::vector<KernelTrack> kernels_;
     std::vector<CtaDoneEvent> completed_;
+
+    /** Per issue slot: the slot's warp ids, ascending (fixed). */
+    std::vector<std::vector<int>> slotIds_;
+    /**
+     * Per issue slot: its valid warps oldest first. A launch appends
+     * the new CTA's warps (the youngest, in warpInCta order) and a
+     * retirement removes them, so the order needs no sorting.
+     */
+    std::vector<std::vector<int>> ageOrder_;
+    /** Per issue slot: ageOrder_ cut into its CTAs (BAWS). */
+    std::vector<std::vector<IssueCta>> slotCtas_;
+    /** Instructions issued per hardware CTA slot (BAWS progress). */
+    std::vector<std::uint64_t> ctaIssued_;
 
     /**
      * SoA-packed hot state for the issue loop: a per-warp-slot cycle
      * before which the occupying warp's scoreboard cannot clear.
-     * Strictly a lower bound — set when a warp's operands are found
-     * pending, reset to 0 on launch, issue and load release — so
-     * skipping a slot with warpWake_ > now never changes behaviour; it
-     * only avoids touching the cold Warp record and its scoreboard.
+     * Strictly a lower bound — set when the issue walk finds a warp's
+     * operands pending, reset to 0 on launch, issue and load release —
+     * so skipping a slot with warpWake_ > now never changes behaviour;
+     * it only avoids touching the cold Warp record and its scoreboard.
      */
     std::vector<Cycle> warpWake_;
-    /** SoA mirror of Warp::kernelId (set at warp launch) so the fused
-     *  stall classification can attribute a wake-cached slot without
-     *  touching the cold Warp record. Only read while warpWake_ > now,
-     *  which implies the slot's warp is live. */
+    /** SoA mirror of Warp::kernelId (set at warp launch): a stalled
+     *  slot is attributed to its witness warp's kernel without touching
+     *  that warp's cold record, which a wake-cached warp skipped. */
     std::vector<int> warpKernel_;
     /** Free warp contexts (kept in sync with Warp::valid): canAccept
      *  in O(1) instead of scanning 48 slots per scheduler tick. */
     std::uint32_t freeWarpSlots_ = 0;
-    /** Reused ready-list buffer (avoids per-tick allocation). */
-    std::vector<int> readyScratch_;
 
     std::uint64_t ctaSeqCounter_ = 0;
     Cycle smemBusyUntil_ = 0;

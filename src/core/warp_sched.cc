@@ -23,54 +23,61 @@ WarpScheduler::create(WarpSchedKind kind, std::uint32_t two_level_active)
     panic("unknown warp scheduler kind");
 }
 
-namespace {
-
-/** Age key: older CTA first, then lower warp index. */
-std::pair<std::uint64_t, std::uint32_t>
-ageKey(const Warp& warp)
-{
-    return {warp.ctaSeq, warp.warpInCta};
-}
-
-/** Oldest ready warp by (ctaSeq, warpInCta). */
 int
-oldest(const std::vector<int>& ready, const std::vector<Warp>& warps)
+WarpScheduler::pick(const std::vector<int>& ready,
+                    const std::vector<Warp>& warps)
 {
-    int best = ready.front();
+    // Documented precondition: a non-empty ready set, so the walk
+    // always finds a warp.
+    BSCHED_CHECK(!ready.empty(), "warp scheduler: pick() with empty "
+                                 "ready set");
+    // Age order: older CTA first, then lower warp index, then lower id
+    // (a stable sort of the ascending ids). Ascending ids are usually in
+    // age order already, which one pass over the keys confirms.
+    auto age = [&](int id) {
+        const Warp& warp = warps[static_cast<std::size_t>(id)];
+        return std::pair(warp.ctaSeq, warp.warpInCta);
+    };
+    std::span<const int> by_age = ready;
+    auto prev = ready.empty() ? std::pair<std::uint64_t, std::uint32_t>{}
+                              : age(ready.front());
     for (std::size_t i = 1; i < ready.size(); ++i) {
-        if (ageKey(warps[static_cast<std::size_t>(ready[i])]) <
-            ageKey(warps[static_cast<std::size_t>(best)])) {
-            best = ready[i];
+        const auto next = age(ready[i]);
+        if (next < prev) {
+            ageScratch_.assign(ready.begin(), ready.end());
+            std::stable_sort(ageScratch_.begin(), ageScratch_.end(),
+                             [&](int a, int b) { return age(a) < age(b); });
+            by_age = ageScratch_;
+            break;
         }
+        prev = next;
     }
-    return best;
+    auto in_ready = [&](int id) {
+        return std::binary_search(ready.begin(), ready.end(), id);
+    };
+    return walk({warps, ready, by_age, {}, {}}, IssueTest(in_ready));
 }
 
-bool
-contains(const std::vector<int>& ready, int warp_id)
+void
+groupByCta(std::span<const int> by_age, const std::vector<Warp>& warps,
+           std::vector<IssueCta>& out)
 {
-    return std::find(ready.begin(), ready.end(), warp_id) != ready.end();
+    out.clear();
+    for (std::size_t i = 0; i < by_age.size(); ++i) {
+        const Warp& warp = warps[static_cast<std::size_t>(by_age[i])];
+        const auto pos = static_cast<std::uint32_t>(i);
+        if (!out.empty() && out.back().ctaSeq == warp.ctaSeq &&
+            out.back().block == warp.blockSeq) {
+            out.back().end = pos + 1;
+            continue;
+        }
+        out.push_back({warp.blockSeq, warp.ctaSeq,
+                       static_cast<std::uint32_t>(warp.hwCta), pos,
+                       pos + 1});
+    }
 }
-
-} // namespace
 
 // --- LRR ---------------------------------------------------------------
-
-int
-LrrScheduler::pick(const std::vector<int>& ready,
-                   const std::vector<Warp>& warps)
-{
-    (void)warps;
-    // Documented precondition of every pick(): non-empty ready set —
-    // ready.front() below is UB otherwise.
-    BSCHED_CHECK(!ready.empty(), "lrr: pick() with empty ready set");
-    // Smallest ready id strictly greater than the last issued, wrapping.
-    for (int id : ready) {
-        if (id > lastIssued_)
-            return id;
-    }
-    return ready.front();
-}
 
 void
 LrrScheduler::notifyIssued(int warp_id, const std::vector<Warp>& warps)
@@ -80,16 +87,6 @@ LrrScheduler::notifyIssued(int warp_id, const std::vector<Warp>& warps)
 }
 
 // --- GTO ---------------------------------------------------------------
-
-int
-GtoScheduler::pick(const std::vector<int>& ready,
-                   const std::vector<Warp>& warps)
-{
-    BSCHED_CHECK(!ready.empty(), "gto: pick() with empty ready set");
-    if (lastIssued_ >= 0 && contains(ready, lastIssued_))
-        return lastIssued_;
-    return oldest(ready, warps);
-}
 
 void
 GtoScheduler::notifyIssued(int warp_id, const std::vector<Warp>& warps)
@@ -104,42 +101,26 @@ void
 TwoLevelScheduler::reset()
 {
     active_.clear();
+    byId_.clear();
     lastIssued_ = -1;
 }
 
-int
-TwoLevelScheduler::pick(const std::vector<int>& ready,
-                        const std::vector<Warp>& warps)
+void
+TwoLevelScheduler::admit(int chosen, bool promote,
+                         const std::vector<Warp>& warps)
 {
-    BSCHED_CHECK(!ready.empty(),
-                 "two-level: pick() with empty ready set");
-    // Drop demoted warps (invalid slots) from the active set lazily.
+    // Dead members are dropped lazily, on issuing walks only: a slot
+    // recycled before its scheduler next issues keeps its seat.
     std::erase_if(active_, [&](int id) {
         return !warps[static_cast<std::size_t>(id)].live();
     });
-
-    // Round-robin among ready members of the active set.
-    int first_active = -1;
-    for (int id : ready) {
-        if (std::find(active_.begin(), active_.end(), id) ==
-            active_.end()) {
-            continue;
-        }
-        if (first_active < 0)
-            first_active = id;
-        if (id > lastIssued_)
-            return id;
+    if (promote) {
+        if (active_.size() >= activeSize_)
+            active_.erase(active_.begin());
+        active_.push_back(chosen);
     }
-    if (first_active >= 0)
-        return first_active;
-
-    // No active warp is ready: promote the oldest ready outsider,
-    // demoting the set's oldest member if it is full.
-    const int promoted = oldest(ready, warps);
-    if (active_.size() >= activeSize_)
-        active_.erase(active_.begin());
-    active_.push_back(promoted);
-    return promoted;
+    byId_.assign(active_.begin(), active_.end());
+    std::sort(byId_.begin(), byId_.end());
 }
 
 void
@@ -147,8 +128,11 @@ TwoLevelScheduler::notifyIssued(int warp_id, const std::vector<Warp>& warps)
 {
     (void)warps;
     lastIssued_ = warp_id;
-    if (std::find(active_.begin(), active_.end(), warp_id) == active_.end())
+    if (std::find(active_.begin(), active_.end(), warp_id) == active_.end()) {
         active_.push_back(warp_id);
+        byId_.insert(std::upper_bound(byId_.begin(), byId_.end(), warp_id),
+                     warp_id);
+    }
 }
 
 // --- BAWS --------------------------------------------------------------
@@ -161,82 +145,42 @@ BawsScheduler::reset()
 }
 
 int
-BawsScheduler::pickWithinBlock(std::uint64_t block,
-                               const std::vector<int>& ready,
-                               const std::vector<Warp>& warps)
+BawsScheduler::walk(const IssueView& view, IssueTest issuable)
 {
-    // Within a block, serve the *laggard* CTA first so the paired CTAs
-    // stay at even progress (the shared halo lines are still resident
-    // when the partner needs them), but stay greedy *within* the chosen
-    // CTA so its memory priority remains concentrated.
-    // One pass over the warp table: per-CTA progress for this block.
-    // Ordered map: the laggard scan below must not see hash order.
-    std::map<std::uint64_t, std::uint64_t> progress;
-    for (const Warp& peer : warps) {
-        if (peer.valid && peer.blockSeq == block)
-            progress[peer.ctaSeq] += peer.instrsIssued;
-    }
-    std::uint64_t best_cta = ~0ULL;
-    std::uint64_t best_progress = ~0ULL;
-    for (int id : ready) {
-        const Warp& warp = warps[static_cast<std::size_t>(id)];
-        if (warp.blockSeq != block)
+    if (!view.ctas.empty() || view.byAge.empty())
+        return walkWith(view, issuable);
+    // No CTA grouping (pick()): group byAge here and sum each CTA's
+    // progress from the table, indexing the sums by position.
+    groupByCta(view.byAge, view.warps, ctaScratch_);
+    issuedScratch_.assign(ctaScratch_.size(), 0);
+    for (std::size_t i = 0; i < ctaScratch_.size(); ++i)
+        ctaScratch_[i].hwCta = static_cast<std::uint32_t>(i);
+    for (const Warp& peer : view.warps) {
+        if (!peer.valid)
             continue;
-        const std::uint64_t p = progress[warp.ctaSeq];
-        if (p < best_progress ||
-            (p == best_progress && warp.ctaSeq < best_cta)) {
-            best_progress = p;
-            best_cta = warp.ctaSeq;
+        for (const IssueCta& cta : ctaScratch_) {
+            if (cta.block == peer.blockSeq && cta.ctaSeq == peer.ctaSeq) {
+                issuedScratch_[cta.hwCta] += peer.instrsIssued;
+                break;
+            }
         }
     }
-    if (best_cta == ~0ULL)
-        return -1;
-    // Greedy-then-oldest within the laggard CTA.
-    const int last = rotate_.count(block) ? rotate_[block] : -1;
-    int oldest_id = -1;
-    std::uint32_t oldest_win = ~0u;
-    for (int id : ready) {
-        const Warp& warp = warps[static_cast<std::size_t>(id)];
-        if (warp.blockSeq != block || warp.ctaSeq != best_cta)
-            continue;
-        if (id == last)
-            return id; // greedy warp still ready
-        if (warp.warpInCta < oldest_win) {
-            oldest_win = warp.warpInCta;
-            oldest_id = id;
-        }
-    }
-    return oldest_id;
+    return walkWith({view.warps, view.byId, view.byAge, ctaScratch_,
+                     issuedScratch_},
+                    issuable);
 }
 
 int
-BawsScheduler::pick(const std::vector<int>& ready,
-                    const std::vector<Warp>& warps)
+BawsScheduler::rotateWarp(const IssueCta& cta,
+                          const std::vector<Warp>& warps) const
 {
-    BSCHED_CHECK(!ready.empty(), "baws: pick() with empty ready set");
-    // Greedy at block granularity: stick with the last block if any of
-    // its warps is ready.
-    if (lastBlock_ != kNoBlock) {
-        const int id = pickWithinBlock(lastBlock_, ready, warps);
-        if (id >= 0)
-            return id;
-    }
-    // Otherwise the oldest ready block.
-    std::uint64_t best_block = kNoBlock;
-    for (int id : ready) {
-        const Warp& warp = warps[static_cast<std::size_t>(id)];
-        if (warp.blockSeq < best_block)
-            best_block = warp.blockSeq;
-    }
-    const int id = pickWithinBlock(best_block, ready, warps);
-    if (id >= 0)
-        return id;
-    // Returning -1 to the issue stage panics the core. Every ready warp
-    // belongs to some block, so best_block normally matches at least one
-    // candidate — but if every ready warp carries the kNoBlock sentinel
-    // (best_block stayed kNoBlock) or block bookkeeping ever disagrees,
-    // degrade to plain greedy-then-oldest instead of crashing.
-    return oldest(ready, warps);
+    const auto it = rotate_.find(cta.block);
+    if (it == rotate_.end())
+        return -1;
+    const Warp& warp = warps[static_cast<std::size_t>(it->second)];
+    return warp.blockSeq == cta.block && warp.ctaSeq == cta.ctaSeq
+        ? it->second
+        : -1;
 }
 
 void

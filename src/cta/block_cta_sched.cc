@@ -21,9 +21,8 @@ BlockCtaScheduler::tick(Cycle now, std::vector<KernelInstance>& kernels,
                         CoreList& cores)
 {
     const std::uint32_t block = config_.bcs.blockSize;
-    // Cycle-derived rotation, like the round-robin baseline: this policy
-    // has ticked once per cycle since 0, so `now % n` equals the old
-    // stored counter and survives elided quiet spans unchanged.
+    // Cycle-derived rotation, like the round-robin baseline: it
+    // survives skipped passes and elided quiet spans unchanged.
     std::vector<KernelInstance*>& order = dispatchOrder(kernels,
                                                         cores.size());
     if (order.empty())

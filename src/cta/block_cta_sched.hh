@@ -35,8 +35,8 @@ class BlockCtaScheduler : public CtaScheduler
 
     /**
      * Purely event-driven: a block becomes dispatchable only when B
-     * slots fit on a core, i.e. after CTA completions — which end a
-     * fast-forwarded span anyway. No time-driven deadlines of its own
+     * slots fit on a core, i.e. after CTA completions — which force a
+     * dispatch pass anyway. No time-driven deadlines of its own
      * (the LCS overlay adds those in LazyBlockCtaScheduler).
      */
     Cycle

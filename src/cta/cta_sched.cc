@@ -176,11 +176,10 @@ RoundRobinCtaScheduler::tick(Cycle now,
                              std::vector<KernelInstance>& kernels,
                              CoreList& cores)
 {
-    // At most one CTA dispatched per core per cycle, kernels offered in
+    // At most one CTA dispatched per core per pass, kernels offered in
     // priority order, cores visited round-robin. The rotation index is
-    // derived from the cycle — this policy has ticked once per cycle
-    // since 0, so `now % n` equals the old stored counter, and elided
-    // quiet spans cannot desynchronise the visiting order.
+    // derived from the cycle, so passes the GPU skips and elided quiet
+    // spans cannot desynchronise the visiting order.
     std::vector<KernelInstance*>& order = dispatchOrder(kernels,
                                                         cores.size());
     if (order.empty())

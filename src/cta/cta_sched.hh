@@ -53,25 +53,30 @@ class CtaScheduler
     explicit CtaScheduler(const GpuConfig& config);
     virtual ~CtaScheduler() = default;
 
-    /** Attempt dispatches for this cycle. */
+    /**
+     * One dispatch pass at @p now. The GPU runs a pass only after an
+     * event that can change its outcome — a dispatch in the previous
+     * pass, a CTA completion, a kernel launch or drain request — or at
+     * nextEventCycle(); a pass it skips would have dispatched nothing.
+     */
     virtual void tick(Cycle now, std::vector<KernelInstance>& kernels,
                       CoreList& cores) = 0;
 
     /**
      * Earliest cycle >= @p now at which this policy must run again even
-     * if the whole GPU stays quiet — its internal time-driven deadlines
-     * (LCS fixed monitoring windows, DYNCTA sampling periods). Purely
-     * event-driven policies return kCycleNever: under the quiet-cycle
-     * precondition their dispatch eligibility only changes on observable
-     * events (a CTA completion, a resource release), which end the
-     * fast-forwarded span anyway.
+     * if nothing else happens — its internal time-driven deadlines (LCS
+     * fixed monitoring windows, DYNCTA sampling periods). Purely
+     * event-driven policies return kCycleNever: their dispatch
+     * eligibility only changes on the events that force a pass anyway.
+     * It may change only in a pass or in notifyCtaDone(); the GPU reads
+     * it after each pass, both to schedule the next pass and to bound
+     * fast-forward.
      */
     virtual Cycle nextEventCycle(Cycle now,
                                  const std::vector<KernelInstance>& kernels,
                                  const CoreList& cores) const;
 
-    /** Total CTAs dispatched; the GPU's quiet-cycle gate reads the
-     *  per-cycle delta. */
+    /** Total CTAs dispatched; the GPU reads the per-pass delta. */
     std::uint64_t dispatches() const { return dispatches_; }
 
     /**
@@ -135,10 +140,8 @@ class CtaScheduler
 
     /**
      * Rebuild the priority-sorted list of kernels with pending CTAs and
-     * reset the per-core used flags. The dispatch loop runs every
-     * simulated cycle, so both live in reused scratch buffers instead of
-     * fresh per-tick allocations; an empty result lets tick() return
-     * before touching any core.
+     * reset the per-core used flags, in reused scratch buffers; an empty
+     * result lets tick() return before touching any core.
      */
     std::vector<KernelInstance*>&
     dispatchOrder(std::vector<KernelInstance>& kernels,
@@ -168,7 +171,7 @@ class RoundRobinCtaScheduler : public CtaScheduler
     /**
      * Purely event-driven: greedy round-robin has no monitoring windows
      * or sampling periods, so dispatch eligibility only changes on CTA
-     * completions — which end a fast-forwarded span anyway.
+     * completions, launches and drain requests.
      */
     Cycle
     nextEventCycle(Cycle now, const std::vector<KernelInstance>& kernels,

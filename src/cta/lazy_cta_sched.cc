@@ -12,7 +12,13 @@ void
 LazyCtaScheduler::decide(Cycle now, std::uint32_t core_id, int kernel_id,
                          std::uint32_t n_max, const SimtCore& core)
 {
-    Monitor& mon = monitors_[{core_id, kernel_id}];
+    BSCHED_CHECK(kernel_id >= 0, "lcs: monitor for invalid kernel id ",
+                 kernel_id);
+    std::vector<Monitor>& per_kernel = monitors_.at(core_id);
+    const auto kernel_idx = static_cast<std::size_t>(kernel_id);
+    if (kernel_idx >= per_kernel.size())
+        per_kernel.resize(kernel_idx + 1);
+    Monitor& mon = per_kernel[kernel_idx];
     if (mon.decided)
         return;
     const std::vector<std::uint64_t> counts =
@@ -67,13 +73,22 @@ LazyCtaScheduler::decide(Cycle now, std::uint32_t core_id, int kernel_id,
     }
 }
 
+const LazyCtaScheduler::Monitor*
+LazyCtaScheduler::monitor(std::uint32_t core_id, int kernel_id) const
+{
+    if (core_id >= monitors_.size() || kernel_id < 0)
+        return nullptr;
+    const std::vector<Monitor>& per_kernel = monitors_[core_id];
+    const auto kernel_idx = static_cast<std::size_t>(kernel_id);
+    return kernel_idx < per_kernel.size() ? &per_kernel[kernel_idx]
+                                          : nullptr;
+}
+
 std::uint32_t
 LazyCtaScheduler::decidedLimit(std::uint32_t core, int kernel_id) const
 {
-    auto it = monitors_.find({core, kernel_id});
-    if (it == monitors_.end() || !it->second.decided)
-        return 0;
-    return it->second.nOpt;
+    const Monitor* mon = monitor(core, kernel_id);
+    return mon != nullptr && mon->decided ? mon->nOpt : 0;
 }
 
 std::uint32_t
@@ -138,8 +153,8 @@ LazyCtaScheduler::nextEventCycle(Cycle now,
             const Cycle start = cores[c]->kernelFirstLaunch(kernel.id);
             if (start == kCycleNever)
                 continue;
-            const auto it = monitors_.find({c, kernel.id});
-            if (it != monitors_.end() && it->second.decided)
+            const Monitor* mon = monitor(c, kernel.id);
+            if (mon != nullptr && mon->decided)
                 continue;
             next = std::min(
                 next,
@@ -180,11 +195,13 @@ void
 LazyCtaScheduler::addStats(StatSet& stats) const
 {
     CtaScheduler::addStats(stats);
-    for (const auto& [key, mon] : monitors_) {
-        if (mon.decided) {
-            stats.set("lcs.core" + std::to_string(key.first) + ".k" +
-                          std::to_string(key.second) + ".n_opt",
-                      static_cast<double>(mon.nOpt));
+    for (std::size_t c = 0; c < monitors_.size(); ++c) {
+        for (std::size_t k = 0; k < monitors_[c].size(); ++k) {
+            if (monitors_[c][k].decided) {
+                stats.set("lcs.core" + std::to_string(c) + ".k" +
+                              std::to_string(k) + ".n_opt",
+                          static_cast<double>(monitors_[c][k].nOpt));
+            }
         }
     }
 }

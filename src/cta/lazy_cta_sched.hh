@@ -26,8 +26,6 @@
 #define BSCHED_CTA_LAZY_CTA_SCHED_HH
 
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "cta/cta_sched.hh"
@@ -39,7 +37,7 @@ class LazyCtaScheduler : public CtaScheduler
 {
   public:
     explicit LazyCtaScheduler(const GpuConfig& config)
-        : CtaScheduler(config)
+        : CtaScheduler(config), monitors_(config.numCores)
     {}
 
     void tick(Cycle now, std::vector<KernelInstance>& kernels,
@@ -85,13 +83,15 @@ class LazyCtaScheduler : public CtaScheduler
         std::uint32_t nOpt = 0;
     };
 
-    using Key = std::pair<std::uint32_t, int>; ///< (core, kernelId)
-
     /** Close the window and compute N_opt from the core's counters. */
     void decide(Cycle now, std::uint32_t core_id, int kernel_id,
                 std::uint32_t n_max, const SimtCore& core);
 
-    std::map<Key, Monitor> monitors_;
+    /** The (core, kernel) monitor, or null if it never opened. */
+    const Monitor* monitor(std::uint32_t core_id, int kernel_id) const;
+
+    /** Per core, the monitors indexed by the dense kernel id. */
+    std::vector<std::vector<Monitor>> monitors_;
 };
 
 } // namespace bsched

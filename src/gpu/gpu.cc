@@ -74,6 +74,8 @@ Gpu::launchKernel(const KernelInfo& kernel, int core_begin, int core_end,
     inst.coreEnd = core_end;
     inst.priority = priority;
     kernels_.push_back(inst);
+    ++unfinished_;
+    ctaPassDue_ = true;
 
     if (obs_.tracer != nullptr) {
         TraceEvent event;
@@ -98,6 +100,7 @@ Gpu::requestDrain(int kernel_id, bool draining)
         fatal("requestDrain: bad kernel id ", kernel_id);
     const bool was_draining = ctaSched_->isDraining(kernel_id);
     ctaSched_->setDraining(kernel_id, draining);
+    ctaPassDue_ = true;
     if (draining && !was_draining) {
         if (kernelResidentCtas(kernel_id) == 0) {
             // Nothing in flight: the drain completes the moment it is
@@ -156,16 +159,6 @@ Gpu::noteDrainComplete(int kernel_id, Cycle now, Cycle latency)
                                                kernel.nextCta);
         obs_.tracer->record(obs_.tracer->gpuTrack(), event);
     }
-}
-
-bool
-Gpu::finished() const
-{
-    for (const KernelInstance& kernel : kernels_) {
-        if (!kernel.finished())
-            return false;
-    }
-    return true;
 }
 
 bool
@@ -249,6 +242,7 @@ Gpu::stepCycle()
     for (auto& core : cores_) {
         for (const CtaDoneEvent& event : core->drainCompletedCtas()) {
             did_work = true;
+            ctaPassDue_ = true;
             KernelInstance& kernel =
                 kernels_.at(static_cast<std::size_t>(event.kernelId));
             ++kernel.ctasDone;
@@ -261,6 +255,7 @@ Gpu::stepCycle()
                              " completed more CTAs than were dispatched");
             if (kernel.finished() && kernel.doneCycle == kCycleNever) {
                 kernel.doneCycle = now;
+                --unfinished_;
                 if (obs_.tracer != nullptr) {
                     TraceEvent trace;
                     trace.cycle = now;
@@ -286,9 +281,18 @@ Gpu::stepCycle()
         }
     }
 
-    const std::uint64_t dispatches_before = ctaSched_->dispatches();
-    ctaSched_->tick(now, kernels_, cores_);
-    did_work |= ctaSched_->dispatches() != dispatches_before;
+    // The dispatch pass runs only when its outcome can differ from the
+    // last pass, which dispatched nothing: after a dispatch, a CTA
+    // completion, a launch or drain request, or a policy deadline (LCS
+    // fixed window, DYNCTA sample). Nothing else frees capacity or
+    // moves a cap, so a skipped pass would have dispatched nothing.
+    if (ctaPassDue_ || now >= ctaDeadline_) {
+        const std::uint64_t dispatches_before = ctaSched_->dispatches();
+        ctaSched_->tick(now, kernels_, cores_);
+        ctaPassDue_ = ctaSched_->dispatches() != dispatches_before;
+        did_work |= ctaPassDue_;
+        ctaDeadline_ = ctaSched_->nextEventCycle(now + 1, kernels_, cores_);
+    }
 
     observeFence(now, obs_.phase != nullptr && obs_.phase->due(now),
                  obs_.sampler != nullptr && obs_.sampler->due(now));
@@ -312,7 +316,9 @@ Gpu::fastForward()
 {
     const Cycle now = cycle_; // first candidate cycle to elide
 
-    Cycle next = ctaSched_->nextEventCycle(now, kernels_, cores_);
+    // The deadline computed after the last dispatch pass still holds:
+    // only a pass, or an event that forces one, moves it.
+    Cycle next = ctaDeadline_;
     for (const auto& core : cores_)
         next = std::min(next, core->nextWorkCycle(now));
     next = std::min(next, icnt_.nextEventCycle(now));

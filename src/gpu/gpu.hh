@@ -69,7 +69,7 @@ class Gpu
     Cycle cycle() const { return cycle_; }
 
     /** True once every launched kernel has finished. */
-    bool finished() const;
+    bool finished() const { return unfinished_ == 0; }
 
     /**
      * CTA-drain preemption (serving layer): while draining, kernel
@@ -185,6 +185,11 @@ class Gpu
     Interconnect icnt_;
     std::unique_ptr<CtaScheduler> ctaSched_;
     std::vector<KernelInstance> kernels_;
+    std::size_t unfinished_ = 0; ///< launched kernels not yet finished
+    /** The next stepCycle must run the CTA dispatch pass. */
+    bool ctaPassDue_ = true;
+    /** The CTA policy's next time-driven deadline, as of the last pass. */
+    Cycle ctaDeadline_ = kCycleNever;
     Cycle cycle_ = 0;
     std::uint64_t elided_ = 0; ///< cycles skipped by fastForward()
     Cycle externalEvent_ = kCycleNever; ///< fast-forward fence

@@ -59,7 +59,10 @@ MemProfiler::beginRequest(Cycle now, std::uint32_t core, int kernel_id,
                           std::int64_t cta_key)
 {
     const std::uint32_t id = nextReqId_++;
-    Record& rec = outstanding_[id];
+    if (outstanding_.empty())
+        firstId_ = id;
+    Record& rec = outstanding_.emplace_back();
+    rec.live = true;
     rec.begin = now;
     rec.stageStart = now;
     rec.stage = MemStage::CoreQueue;
@@ -67,7 +70,17 @@ MemProfiler::beginRequest(Cycle now, std::uint32_t core, int kernel_id,
     rec.kernelId = kernel_id;
     rec.ctaKey = cta_key;
     ++begun_;
+    ++inFlight_;
     return id;
+}
+
+const MemProfiler::Record*
+MemProfiler::find(std::uint32_t req_id) const
+{
+    if (req_id < firstId_ || req_id - firstId_ >= outstanding_.size())
+        return nullptr;
+    const Record& rec = outstanding_[req_id - firstId_];
+    return rec.live ? &rec : nullptr;
 }
 
 void
@@ -75,12 +88,12 @@ MemProfiler::enterStage(std::uint32_t req_id, MemStage stage, Cycle now)
 {
     if (req_id == 0)
         return;
-    auto it = outstanding_.find(req_id);
-    BSCHED_CHECK(it != outstanding_.end(), "mem profiler: stage ",
+    Record* found = find(req_id);
+    BSCHED_CHECK(found != nullptr, "mem profiler: stage ",
                  toString(stage), " for unknown request ", req_id);
-    if (it == outstanding_.end())
+    if (found == nullptr)
         return;
-    Record& rec = it->second;
+    Record& rec = *found;
     rec.stageCycles[static_cast<std::size_t>(rec.stage)] +=
         now - rec.stageStart;
     rec.stage = stage;
@@ -92,12 +105,12 @@ MemProfiler::endRequest(std::uint32_t req_id, Cycle now)
 {
     if (req_id == 0)
         return;
-    auto it = outstanding_.find(req_id);
-    BSCHED_CHECK(it != outstanding_.end(),
+    Record* found = find(req_id);
+    BSCHED_CHECK(found != nullptr,
                  "mem profiler: completion for unknown request ", req_id);
-    if (it == outstanding_.end())
+    if (found == nullptr)
         return;
-    Record& rec = it->second;
+    Record& rec = *found;
     // Contract: a request completes out of its final (response-network)
     // stage — anything else means a component skipped its stage hook.
     BSCHED_CHECK(rec.stage == MemStage::NocResponse,
@@ -130,14 +143,19 @@ MemProfiler::endRequest(std::uint32_t req_id, Cycle now)
             kern_prof.stages[s].record(rec.stageCycles[s]);
     }
     ++completed_;
-    outstanding_.erase(it);
+    --inFlight_;
+    rec.live = false;
+    while (!outstanding_.empty() && !outstanding_.front().live) {
+        outstanding_.pop_front();
+        ++firstId_;
+    }
 }
 
 std::int64_t
 MemProfiler::ctaKeyOf(std::uint32_t req_id) const
 {
-    auto it = outstanding_.find(req_id);
-    return it != outstanding_.end() ? it->second.ctaKey : -1;
+    const Record* rec = find(req_id);
+    return rec != nullptr ? rec->ctaKey : -1;
 }
 
 void

@@ -48,8 +48,11 @@
 #ifndef BSCHED_OBS_MEM_PROFILE_HH
 #define BSCHED_OBS_MEM_PROFILE_HH
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -152,11 +155,12 @@ class LatencyHistogram
     static std::size_t
     bucketOf(std::uint64_t value)
     {
-        for (std::size_t i = 0; i < kFiniteBuckets; ++i) {
-            if (value <= bound(i))
-                return i;
-        }
-        return kFiniteBuckets; // overflow bucket
+        // The smallest i with value <= 2^i; past 2^16, the overflow
+        // bucket.
+        if (value <= 1)
+            return 0;
+        return std::min<std::size_t>(std::bit_width(value - 1),
+                                     kFiniteBuckets);
     }
 
     std::uint64_t total() const { return count_; }
@@ -330,7 +334,7 @@ class MemProfiler
     std::uint64_t
     outstandingRequests() const
     {
-        return static_cast<std::uint64_t>(outstanding_.size());
+        return inFlight_;
     }
 
     /** Latency aggregation of @p core (requests it issued). */
@@ -360,14 +364,28 @@ class MemProfiler
         int kernelId = kInvalidId;
         std::int64_t ctaKey = -1;
         std::array<std::uint64_t, kNumMemStages> stageCycles{};
+        bool live = false;
     };
+
+    /** The in-flight record of @p req_id; null if it is not in flight. */
+    const Record* find(std::uint32_t req_id) const;
+    Record*
+    find(std::uint32_t req_id)
+    {
+        return const_cast<Record*>(std::as_const(*this).find(req_id));
+    }
 
     std::vector<StageProfile> cores_;
     std::map<int, StageProfile> kernels_;
     std::array<InterferenceCounts, kNumMemLevels> interference_{};
-    /** In-flight records, keyed by request id (ordered: deterministic
-     *  iteration for any future dump of the outstanding set). */
-    std::map<std::uint32_t, Record> outstanding_;
+    /**
+     * Records by request id: ids are handed out in order, so request id
+     * sits at index id - firstId_, and completed records are popped off
+     * the front once every older request has completed too.
+     */
+    std::deque<Record> outstanding_;
+    std::uint32_t firstId_ = 1; ///< request id of outstanding_.front()
+    std::uint64_t inFlight_ = 0;
     std::uint32_t nextReqId_ = 1; ///< 0 marks an untracked request
     std::uint64_t begun_ = 0;
     std::uint64_t completed_ = 0;

@@ -274,7 +274,7 @@ TEST(BawsScheduler, RotateMapStaysBoundedAndDrains)
                 dynamic_cast<const BawsScheduler*>(sched.get());
             EXPECT_NE(baws, nullptr);
             if (baws != nullptr)
-                most = std::max(most, baws->rotateEntries());
+                most = std::max(most, baws->rotation().size());
         }
         return most;
     };
