@@ -1,47 +1,37 @@
 /**
  * @file
- * Google-benchmark microbenchmarks of the simulator substrate itself:
- * simulated-cycles-per-second for a small kernel, cache and coalescer
- * throughput. Guards against performance regressions in the hot loops
- * that every experiment depends on.
+ * Simulator-performance guardrail: the sim rate of a small kernel bare,
+ * with the tracer+sampler stack, with the cycle-accounting profiler,
+ * with the request-level memory profiler, and with the phase
+ * telemetry; a serving-engine pair with and without the decision audit
+ * attached (serve_plain/servetraced); plus a `fast_forward` section
+ * timing an idle-heavy and a fully-busy microkernel with idle
+ * fast-forward on and off. Every point runs in one interleaved trial
+ * schedule (measureInterleaved), so each overhead or speedup ratio
+ * divides measurements taken moments apart.
  *
- * Before the microbenchmarks run, a harness self-check times the same
- * multi-point sweep serially (--jobs 1) and with the requested worker
- * count, verifies the per-point results are byte-identical, and reports
- * points/sec for both. This is the quickest way to see what the
- * parallel harness buys on a given machine.
- *
- * `--emit-json FILE` additionally writes a `bsched-simspeed-v1`
- * artifact: the sim rate of the small kernel bare, with the
- * tracer+sampler stack, with the cycle-accounting profiler, with the
- * request-level memory profiler, and with the phase telemetry; a
- * serving-engine pair with and
- * without the decision audit attached (serve_plain/servetraced); plus
- * a `fast_forward` section timing an idle-heavy and a fully-busy
- * microkernel with idle fast-forward on and off. The committed
- * bench/BENCH_simspeed.json
- * baseline is produced this way and CI's perf-smoke step diffs a fresh
- * artifact against it with tools/bench_compare.py, which hard-gates
- * the machine-independent ratios (fast-forward speedups, profiler
- * overhead budgets).
+ * The result is a `bsched-simspeed-v1` artifact, written to
+ * `--emit-json FILE` or else to stdout. The committed
+ * bench/BENCH_simspeed.json baseline is produced this way and CI's
+ * perf-smoke step diffs a fresh artifact against it with
+ * tools/bench_compare.py, which hard-gates the machine-independent
+ * ratios (fast-forward speedups, profiler overhead budgets). The
+ * command line is the figures' (bench::parseArgs); the measurement is
+ * serial by design, so `--jobs` changes nothing.
  */
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_common.hh"
 #include "gpu/gpu.hh"
-#include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
 #include "kernel/program_builder.hh"
-#include "mem/cache.hh"
 #include "obs/mem_profile.hh"
 #include "obs/phase/phase.hh"
 #include "obs/profile.hh"
@@ -51,8 +41,6 @@
 #include "serve/engine.hh"
 #include "serve/serve_trace.hh"
 #include "serve/traffic.hh"
-#include "sim/log.hh"
-#include "workloads/suite.hh"
 
 namespace {
 
@@ -120,194 +108,6 @@ busyKernel()
     builder.loop(64).alu(1).endLoop();
     k.program = builder.build();
     return k;
-}
-
-void
-BM_SimulateSmallKernel(benchmark::State& state)
-{
-    const GpuConfig config = makeConfig(WarpSchedKind::GTO,
-                                        CtaSchedKind::RoundRobin);
-    const KernelInfo kernel = smallKernel();
-    std::uint64_t cycles = 0;
-    for (auto _ : state) {
-        Gpu gpu(config);
-        gpu.launchKernel(kernel);
-        gpu.run();
-        cycles += gpu.cycle();
-    }
-    state.counters["sim_cycles_per_s"] = benchmark::Counter(
-        static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimulateSmallKernel)->Unit(benchmark::kMillisecond);
-
-/**
- * The same kernel with the full observability stack attached (tracer on
- * every component plus a 512-cycle interval sampler). Comparing against
- * BM_SimulateSmallKernel bounds the enabled-path overhead; the disabled
- * path is BM_SimulateSmallKernel itself (null tracer, no sampler).
- */
-void
-BM_SimulateSmallKernelObserved(benchmark::State& state)
-{
-    const GpuConfig config = makeConfig(WarpSchedKind::GTO,
-                                        CtaSchedKind::RoundRobin);
-    const KernelInfo kernel = smallKernel();
-    std::uint64_t cycles = 0;
-    for (auto _ : state) {
-        Tracer tracer(config.numCores, config.numMemPartitions);
-        IntervalSampler sampler(512);
-        Gpu gpu(config, Observer{&tracer, &sampler});
-        gpu.launchKernel(kernel);
-        gpu.run();
-        benchmark::DoNotOptimize(tracer.recorded());
-        cycles += gpu.cycle();
-    }
-    state.counters["sim_cycles_per_s"] = benchmark::Counter(
-        static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimulateSmallKernelObserved)->Unit(benchmark::kMillisecond);
-
-/**
- * The same kernel with only the cycle-accounting profiler attached.
- * Comparing against BM_SimulateSmallKernel bounds the per-slot
- * classification overhead of --profile runs; the disabled path — a
- * null profiler pointer — is BM_SimulateSmallKernel itself.
- */
-void
-BM_SimulateSmallKernelProfiled(benchmark::State& state)
-{
-    const GpuConfig config = makeConfig(WarpSchedKind::GTO,
-                                        CtaSchedKind::RoundRobin);
-    const KernelInfo kernel = smallKernel();
-    std::uint64_t cycles = 0;
-    for (auto _ : state) {
-        CycleProfiler profiler;
-        Gpu gpu(config, Observer{nullptr, nullptr, &profiler});
-        gpu.launchKernel(kernel);
-        gpu.run();
-        benchmark::DoNotOptimize(profiler.total().total());
-        cycles += gpu.cycle();
-    }
-    state.counters["sim_cycles_per_s"] = benchmark::Counter(
-        static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimulateSmallKernelProfiled)->Unit(benchmark::kMillisecond);
-
-/**
- * The same kernel with only the request-level memory profiler attached.
- * Comparing against BM_SimulateSmallKernel bounds the per-request
- * bookkeeping overhead of --mem-profile runs; the disabled path — null
- * memProfiler pointers throughout the memory system — is
- * BM_SimulateSmallKernel itself and is pinned to the ≤5% budget by the
- * perf-smoke trajectory.
- */
-void
-BM_SimulateSmallKernelMemProfiled(benchmark::State& state)
-{
-    const GpuConfig config = makeConfig(WarpSchedKind::GTO,
-                                        CtaSchedKind::RoundRobin);
-    const KernelInfo kernel = smallKernel();
-    std::uint64_t cycles = 0;
-    for (auto _ : state) {
-        MemProfiler profiler;
-        Observer obs;
-        obs.memProfiler = &profiler;
-        Gpu gpu(config, obs);
-        gpu.launchKernel(kernel);
-        gpu.run();
-        benchmark::DoNotOptimize(profiler.completedRequests());
-        cycles += gpu.cycle();
-    }
-    state.counters["sim_cycles_per_s"] = benchmark::Counter(
-        static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimulateSmallKernelMemProfiled)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_CacheAccess(benchmark::State& state)
-{
-    CacheConfig cfg;
-    TagArray tags(cfg, "bench.l1");
-    std::uint64_t n = 0;
-    for (auto _ : state) {
-        const Addr line = (n * 127) % 4096 * cfg.lineBytes;
-        benchmark::DoNotOptimize(tags.access(line, n));
-        if (!tags.probe(line))
-            tags.fill(line, n);
-        ++n;
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_CacheAccess);
-
-void
-BM_Coalescer(benchmark::State& state)
-{
-    MemPattern p;
-    p.kind = AccessKind::Strided;
-    p.strideElems = static_cast<std::uint32_t>(state.range(0));
-    KernelGeom geom{256, 120};
-    std::uint64_t iter = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            coalesce(p, geom, 3, 2, iter++, kWarpSize, 128));
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(iter));
-}
-BENCHMARK(BM_Coalescer)->Arg(1)->Arg(8)->Arg(32);
-
-void
-BM_WorkloadConstruction(benchmark::State& state)
-{
-    for (auto _ : state) {
-        for (const auto& name : workloadNames())
-            benchmark::DoNotOptimize(makeWorkload(name));
-    }
-}
-BENCHMARK(BM_WorkloadConstruction)->Unit(benchmark::kMillisecond);
-
-/**
- * Pull `--jobs N` / `--jobs=N` / `-jN` and `--emit-json FILE` out of the
- * command line (so the rest can go to benchmark::Initialize). Unlike
- * bench::parseArgs this is lenient about unknown arguments —
- * google-benchmark owns them here.
- */
-unsigned
-extractJobsArg(int& argc, char** argv, std::string& emit_json)
-{
-    unsigned requested = 0;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const char* arg = argv[i];
-        const char* value = nullptr;
-        if (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc)
-            value = argv[++i];
-        else if (std::strncmp(arg, "--jobs=", 7) == 0)
-            value = arg + 7;
-        else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0')
-            value = arg + 2;
-        else if (std::strcmp(arg, "--emit-json") == 0 && i + 1 < argc) {
-            emit_json = argv[++i];
-            continue;
-        } else if (std::strncmp(arg, "--emit-json=", 12) == 0) {
-            emit_json = arg + 12;
-            continue;
-        } else if (std::strcmp(arg, "--no-fast-forward") == 0) {
-            setDefaultFastForward(false);
-            continue;
-        }
-        if (value != nullptr) {
-            const long parsed = std::strtol(value, nullptr, 10);
-            if (parsed <= 0)
-                fatal("--jobs expects a positive integer, got '", value, "'");
-            requested = static_cast<unsigned>(parsed);
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argc = out;
-    return requested;
 }
 
 /** One measured simulator configuration for the simspeed artifact. */
@@ -379,9 +179,7 @@ simulateOnce(const GpuConfig& config, const KernelInfo& kernel, ObsMode mode)
         ServeTrace trace;
         if (mode == ObsMode::ServeTraced)
             engine.setTrace(&trace);
-        const ServingRunResult result = engine.run(generateTrace(serveSpec()));
-        benchmark::DoNotOptimize(trace.audit.decisions.size());
-        return result.totalCycles;
+        return engine.run(generateTrace(serveSpec())).totalCycles;
     }
 
     // Construct only the observers the mode attaches: an idle
@@ -497,17 +295,11 @@ pairedRatio(const RateSample& num, const RateSample& den)
 }
 
 /**
- * Write the `bsched-simspeed-v1` artifact: the sim rate of the small
- * kernel with no observers, with the tracer+sampler stack, with the
- * cycle-accounting profiler, with the memory profiler, and with the
- * phase telemetry, plus the
- * enabled-path overhead ratios, plus a `fast_forward` section timing
- * the idle-heavy and fully-busy microkernels with idle fast-forward on
- * and off. CI's perf-smoke step compares a fresh artifact against the
- * committed bench/BENCH_simspeed.json baseline with
- * tools/bench_compare.py; absolute rates are machine-dependent (gated
- * with tolerance), while the overhead and speedup ratios are
- * machine-independent budgets gated with hard floors.
+ * Measure every point and write the `bsched-simspeed-v1` artifact to
+ * @p path (stdout when empty). Absolute rates are machine-dependent
+ * (tools/bench_compare.py gates them with tolerance); the overhead and
+ * speedup ratios are machine-independent budgets gated with hard
+ * floors.
  */
 void
 writeSimspeedJson(const std::string& path)
@@ -577,7 +369,7 @@ writeSimspeedJson(const std::string& path)
         os << "      \"speedup\": " << jsonNumber(speedup(on, off))
            << "\n    }" << (last ? "\n" : ",\n");
     };
-    const std::size_t bytes = writeFile(path, [&](std::ostream& os) {
+    auto write = [&](std::ostream& os) {
         os << "{\n  \"schema\": \"bsched-simspeed-v1\",\n"
            << "  \"kernel\": \"" << jsonEscape(kernel.name) << "\",\n"
            << "  \"reps\": " << kReps << ",\n  \"modes\": {\n";
@@ -601,53 +393,13 @@ writeSimspeedJson(const std::string& path)
         ff_json(os, "idle_heavy", idle_on, idle_off, false);
         ff_json(os, "busy", busy_on, busy_off, true);
         os << "  }\n}\n";
-    });
-    std::fprintf(stderr, "wrote %s (%zu bytes)\n", path.c_str(), bytes);
-}
-
-/**
- * Time the same sweep serially and with @p jobs workers, check the
- * per-point results match exactly, and report points/sec for both.
- */
-void
-harnessSelfCheck(unsigned jobs)
-{
-    using Clock = std::chrono::steady_clock;
-    const GpuConfig config = makeConfig(WarpSchedKind::GTO,
-                                        CtaSchedKind::RoundRobin);
-    const KernelInfo kernel = smallKernel();
-    const std::uint32_t limits = 8; // >= 8 independent simulation points
-
-    const auto t0 = Clock::now();
-    const auto serial = sweepCtaLimit(config, kernel, limits, 1);
-    const auto t1 = Clock::now();
-    const auto parallel = sweepCtaLimit(config, kernel, limits, jobs);
-    const auto t2 = Clock::now();
-
-    if (serial.size() != parallel.size())
-        fatal("harness self-check: point-count mismatch");
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        if (serial[i].cycles != parallel[i].cycles ||
-            serial[i].instrs != parallel[i].instrs ||
-            serial[i].ipc != parallel[i].ipc) {
-            fatal("harness self-check: point ", i,
-                  " differs between --jobs 1 and --jobs ", jobs,
-                  " (determinism violated)");
-        }
-    }
-
-    const auto secs = [](Clock::duration d) {
-        return std::chrono::duration<double>(d).count();
     };
-    const double s_serial = secs(t1 - t0);
-    const double s_parallel = secs(t2 - t1);
-    std::printf("harness self-check: %u-point sweep, per-point results "
-                "identical\n",
-                limits);
-    std::printf("  --jobs 1:  %6.2f points/s (%.3fs)\n", limits / s_serial,
-                s_serial);
-    std::printf("  --jobs %-2u: %6.2f points/s (%.3fs), %.2fx\n", jobs,
-                limits / s_parallel, s_parallel, s_serial / s_parallel);
+    if (path.empty()) {
+        write(std::cout);
+        return;
+    }
+    const std::size_t bytes = writeFile(path, write);
+    std::fprintf(stderr, "wrote %s (%zu bytes)\n", path.c_str(), bytes);
 }
 
 } // namespace
@@ -655,16 +407,7 @@ harnessSelfCheck(unsigned jobs)
 int
 main(int argc, char** argv)
 {
-    std::string emit_json;
-    const unsigned jobs =
-        bsched::resolveJobs(extractJobsArg(argc, argv, emit_json));
-    harnessSelfCheck(jobs);
-    if (!emit_json.empty())
-        writeSimspeedJson(emit_json);
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    const bench::BenchOptions opts = bench::parseArgs(argc, argv);
+    writeSimspeedJson(opts.emitJsonPath);
     return 0;
 }

@@ -37,15 +37,6 @@ struct LoadCompletion
     std::int8_t reg = kNoReg;
 };
 
-/** Why the LD/ST unit refused to admit a memory instruction. */
-enum class LdstRefusal : std::uint8_t
-{
-    None,         ///< would be admitted
-    QueueFull,    ///< batch queue at ldstQueueDepth
-    OutgoingFull, ///< per-core outgoing request buffer full
-    MshrFull,     ///< no free L1D MSHR entry for a (potential) miss
-};
-
 /** Per-core LD/ST pipeline with L1 data cache. */
 class LdstUnit
 {
@@ -72,25 +63,8 @@ class LdstUnit
     bool
     canAdmit(bool write) const
     {
-        return admitRefusal(write) == LdstRefusal::None;
-    }
-
-    /**
-     * The admission decision with its reason — the refusal canAdmit()
-     * collapses to a bool. The cycle profiler uses this to attribute a
-     * stalled issue slot to the specific memory structural resource
-     * (queue, outgoing buffer, MSHR file) that refused the warp.
-     */
-    LdstRefusal
-    admitRefusal(bool write) const
-    {
-        if (!canAcceptBatch())
-            return LdstRefusal::QueueFull;
-        if (outgoing_.size() >= config_.coreMemQueue)
-            return LdstRefusal::OutgoingFull;
-        if (!write && mshr_.full())
-            return LdstRefusal::MshrFull;
-        return LdstRefusal::None;
+        return canAcceptBatch() && outgoing_.size() < config_.coreMemQueue &&
+            (write || !mshr_.full());
     }
 
     /**

@@ -48,20 +48,6 @@ class Scoreboard
             regReady(instr.dst, now);
     }
 
-    /**
-     * True if @p instr is held back by a register that is pending until
-     * an explicit release — i.e. an outstanding load. Distinguishes the
-     * profiler's `scoreboard` category (waiting on memory latency) from
-     * `pipeline` (waiting on a finite-latency ALU/SFU/shared-mem
-     * result). Only meaningful when canIssue() is false.
-     */
-    bool
-    blockedOnRelease(const Instr& instr) const
-    {
-        return regPendingRelease(instr.src0) ||
-            regPendingRelease(instr.src1) || regPendingRelease(instr.dst);
-    }
-
     /** True if @p reg is pending until an explicit release (a load). */
     bool
     regPendingRelease(std::int8_t reg) const

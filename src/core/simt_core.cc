@@ -236,119 +236,6 @@ SimtCore::structuralReady(const Instr& instr, Cycle now) const
     return false;
 }
 
-IssueRefusal
-SimtCore::warpRefusal(const Warp& warp, Cycle now) const
-{
-    const Instr& instr = warp.cursor.instr(warp.kernel->program);
-    if (!warp.sb.canIssue(instr, now)) {
-        // A load-pending operand dominates: even if a fixed-latency
-        // result is also in flight, the warp resumes only when the
-        // memory system answers.
-        return warp.sb.blockedOnRelease(instr) ? IssueRefusal::WaitLoad
-                                               : IssueRefusal::WaitExec;
-    }
-    switch (instr.op) {
-      case Opcode::LdGlobal:
-      case Opcode::StGlobal:
-        if (memIssuedThisCycle_ >= config_.ldstUnits)
-            return IssueRefusal::MemPort;
-        if (ldst_.admitRefusal(instr.op == Opcode::StGlobal) !=
-            LdstRefusal::None) {
-            return IssueRefusal::MemUnit;
-        }
-        return IssueRefusal::None;
-      case Opcode::LdShared:
-      case Opcode::StShared:
-        if (memIssuedThisCycle_ >= config_.ldstUnits)
-            return IssueRefusal::MemPort;
-        if (smemBusyUntil_ > now)
-            return IssueRefusal::SmemBusy;
-        return IssueRefusal::None;
-      case Opcode::Sfu:
-        return sfuIssuedThisCycle_ < config_.sfuUnits
-            ? IssueRefusal::None
-            : IssueRefusal::SfuPort;
-      case Opcode::Alu:
-      case Opcode::Bar:
-      case Opcode::Exit:
-        return IssueRefusal::None;
-    }
-    return IssueRefusal::None;
-}
-
-std::pair<int, SlotCat>
-SimtCore::classifyStalledSlot(std::size_t slot, Cycle now) const
-{
-    // Classify one exclusive category for a slot that issued nothing.
-    // Priority when warps on the slot are blocked for different reasons:
-    // a structurally refused memory access (the warp *would* issue if
-    // the memory pipe had room) outranks a scoreboard wait on a load,
-    // which outranks execution-pipeline waits — the categories closest
-    // to an actionable resource bottleneck win the slot.
-    bool any_live = false;
-    int barrier_kernel = kInvalidId;
-    int sb_kernel = kInvalidId;
-    int pipe_kernel = kInvalidId;
-    for (std::size_t w = slot; w < warps_.size();
-         w += schedulers_.size()) {
-        const Warp& warp = warps_[w];
-        if (!warp.live())
-            continue;
-        any_live = true;
-        if (warp.atBarrier) {
-            if (barrier_kernel == kInvalidId)
-                barrier_kernel = warp.kernelId;
-            continue;
-        }
-        // SoA fast path: the quiet cycle's issue walk visited every live
-        // warp and cached each scoreboard-blocked warp's wake time, so
-        // blocked warps classify from one array read — kCycleNever
-        // marks an outstanding load (`scoreboard`), a finite future
-        // cycle a fixed-latency result (`pipeline`).
-        const Cycle wake = warpWake_[w];
-        if (wake > now) {
-            if (wake == kCycleNever) {
-                if (sb_kernel == kInvalidId)
-                    sb_kernel = warp.kernelId;
-            } else if (pipe_kernel == kInvalidId) {
-                pipe_kernel = warp.kernelId;
-            }
-            continue;
-        }
-        switch (warpRefusal(warp, now)) {
-          case IssueRefusal::MemPort:
-          case IssueRefusal::MemUnit:
-          case IssueRefusal::SmemBusy:
-            // Highest-priority category: no later warp can change the
-            // slot's classification, and first-seen wins the kernel
-            // attribution either way.
-            return {warp.kernelId, SlotCat::MemStructural};
-          case IssueRefusal::WaitLoad:
-            if (sb_kernel == kInvalidId)
-                sb_kernel = warp.kernelId;
-            break;
-          case IssueRefusal::WaitExec:
-          case IssueRefusal::SfuPort:
-            if (pipe_kernel == kInvalidId)
-                pipe_kernel = warp.kernelId;
-            break;
-          case IssueRefusal::None:
-            // Unreachable for a stalled slot: a refusal-free warp would
-            // have been in the ready set and the slot would have issued.
-            if (pipe_kernel == kInvalidId)
-                pipe_kernel = warp.kernelId;
-            break;
-        }
-    }
-    if (!any_live)
-        return {kInvalidId, SlotCat::Empty};
-    if (sb_kernel != kInvalidId)
-        return {sb_kernel, SlotCat::Scoreboard};
-    if (pipe_kernel != kInvalidId)
-        return {pipe_kernel, SlotCat::Pipeline};
-    return {barrier_kernel, SlotCat::Barrier};
-}
-
 void
 SimtCore::issueFrom(int warp_id, Cycle now)
 {
@@ -546,103 +433,107 @@ SimtCore::applyCompletions(Cycle now)
     return applied;
 }
 
+inline bool
+SimtCore::warpIssuable(std::size_t w, Cycle now, SlotStalls* stalls)
+{
+    // SoA fast path: a slot whose cached scoreboard wake time is in the
+    // future cannot issue — skip without touching the warp record (a
+    // cached wake implies the warp is live). kCycleNever marks an
+    // outstanding load (`scoreboard`), a finite future cycle a
+    // fixed-latency result (`pipeline`).
+    const Cycle cached_wake = warpWake_[w];
+    if (cached_wake > now) {
+        BSCHED_CHECK(
+            warps_[w].live() && !warps_[w].atBarrier &&
+                !warps_[w].sb.canIssue(
+                    warps_[w].cursor.instr(warps_[w].kernel->program), now),
+            name_, ": stale warp wake cache for warp ", w, " (cached ",
+            cached_wake, " at cycle ", now, ")");
+        if (stalls != nullptr) {
+            std::size_t& cat =
+                cached_wake == kCycleNever ? stalls->sb : stalls->pipe;
+            cat = std::min(cat, w);
+        }
+        return false;
+    }
+    const Warp& warp = warps_[w];
+    if (!warp.live())
+        return false;
+    if (warp.atBarrier) {
+        if (stalls != nullptr)
+            stalls->barrier = std::min(stalls->barrier, w);
+        return false;
+    }
+    const Instr& instr = warp.cursor.instr(warp.kernel->program);
+    if (!warp.sb.canIssue(instr, now)) {
+        // Cache the wake time; cleared on release/issue/launch.
+        const Cycle wake = warp.sb.nextReadyCycle(instr);
+        warpWake_[w] = wake;
+        if (stalls != nullptr) {
+            std::size_t& cat = wake == kCycleNever ? stalls->sb : stalls->pipe;
+            cat = std::min(cat, w);
+        }
+        return false;
+    }
+    if (structuralReady(instr, now))
+        return true;
+    if (stalls != nullptr) {
+        // The refusal kind follows from the opcode alone: only memory
+        // ops (LD/ST port, LD/ST queue, MSHRs, shared memory) and the
+        // SFU port can structurally refuse a scoreboard-clear warp.
+        std::size_t& cat =
+            instr.op == Opcode::Sfu ? stalls->pipe : stalls->mem;
+        cat = std::min(cat, w);
+    }
+    return false;
+}
+
+inline void
+SimtCore::recordStalledSlot(CycleProfiler& profiler,
+                            const SlotStalls& stalls, std::uint64_t n) const
+{
+    // The categories closest to an actionable resource bottleneck win
+    // the slot: a structurally refused memory access (the warp *would*
+    // issue if the memory pipe had room) outranks a scoreboard wait on
+    // a load, which outranks execution-pipeline waits.
+    std::size_t witness = SlotStalls::kNone;
+    SlotCat cat = SlotCat::Empty;
+    if (stalls.mem != SlotStalls::kNone) {
+        witness = stalls.mem;
+        cat = SlotCat::MemStructural;
+    } else if (stalls.sb != SlotStalls::kNone) {
+        witness = stalls.sb;
+        cat = SlotCat::Scoreboard;
+    } else if (stalls.pipe != SlotStalls::kNone) {
+        witness = stalls.pipe;
+        cat = SlotCat::Pipeline;
+    } else if (stalls.barrier != SlotStalls::kNone) {
+        witness = stalls.barrier;
+        cat = SlotCat::Barrier;
+    }
+    profiler.recordSlotSpan(
+        id_, witness == SlotStalls::kNone ? kInvalidId : warpKernel_[witness],
+        cat, n);
+}
+
 template <class Policy>
 bool
 SimtCore::issueSlots(Cycle now)
 {
     std::uint32_t issued = 0;
-    const bool profiling = profiler_ != nullptr;
-    const std::size_t none = warps_.size();
     for (std::size_t s = 0; s < schedulers_.size(); ++s) {
-        // Profiler only: the lowest warp id refused for each stall
-        // category. The walk visits every live warp of a slot that
-        // issues nothing, so this is the first-seen warp of each
-        // category in warp-id order, whatever order the policy walks.
-        std::size_t mem_warp = none;
-        std::size_t sb_warp = none;
-        std::size_t pipe_warp = none;
-        std::size_t barrier_warp = none;
+        SlotStalls stalls;
+        SlotStalls* const noted = profiler_ != nullptr ? &stalls : nullptr;
         auto issuable = [&](int id) {
-            const auto w = static_cast<std::size_t>(id);
-            // SoA fast path: a slot whose cached scoreboard wake time
-            // is in the future cannot issue — skip without touching
-            // the warp record (a cached wake implies the warp is live).
-            const Cycle cached_wake = warpWake_[w];
-            if (cached_wake > now) {
-                BSCHED_CHECK(
-                    warps_[w].live() && !warps_[w].atBarrier &&
-                        !warps_[w].sb.canIssue(
-                            warps_[w].cursor.instr(warps_[w].kernel->program),
-                            now),
-                    name_, ": stale warp wake cache for warp ", w,
-                    " (cached ", cached_wake, " at cycle ", now, ")");
-                if (profiling) {
-                    std::size_t& cat =
-                        cached_wake == kCycleNever ? sb_warp : pipe_warp;
-                    cat = std::min(cat, w);
-                }
-                return false;
-            }
-            const Warp& warp = warps_[w];
-            if (!warp.live())
-                return false;
-            if (warp.atBarrier) {
-                barrier_warp = std::min(barrier_warp, w);
-                return false;
-            }
-            const Instr& instr = warp.cursor.instr(warp.kernel->program);
-            if (!warp.sb.canIssue(instr, now)) {
-                // Cache the wake time; cleared on release/issue/launch.
-                const Cycle wake = warp.sb.nextReadyCycle(instr);
-                warpWake_[w] = wake;
-                if (profiling) {
-                    std::size_t& cat =
-                        wake == kCycleNever ? sb_warp : pipe_warp;
-                    cat = std::min(cat, w);
-                }
-                return false;
-            }
-            if (structuralReady(instr, now))
-                return true;
-            if (profiling) {
-                // The refusal kind follows from the opcode alone: only
-                // memory ops (LD/ST port, LD/ST queue, MSHRs, shared
-                // memory) and the SFU port can structurally refuse a
-                // scoreboard-clear warp.
-                std::size_t& cat =
-                    instr.op == Opcode::Sfu ? pipe_warp : mem_warp;
-                cat = std::min(cat, w);
-            }
-            return false;
+            return warpIssuable(static_cast<std::size_t>(id), now, noted);
         };
         const int chosen = static_cast<Policy&>(*schedulers_[s]).walkWith(
             IssueView{warps_, slotIds_[s], ageOrder_[s], slotCtas_[s],
                       ctaIssued_},
             issuable);
         if (chosen < 0) {
-            if (profiling) {
-                // Same exclusive priority as classifyStalledSlot:
-                // mem_structural > scoreboard > pipeline > barrier;
-                // a slot with no live warp at all is `empty`.
-                std::size_t witness = none;
-                SlotCat cat = SlotCat::Empty;
-                if (mem_warp != none) {
-                    witness = mem_warp;
-                    cat = SlotCat::MemStructural;
-                } else if (sb_warp != none) {
-                    witness = sb_warp;
-                    cat = SlotCat::Scoreboard;
-                } else if (pipe_warp != none) {
-                    witness = pipe_warp;
-                    cat = SlotCat::Pipeline;
-                } else if (barrier_warp != none) {
-                    witness = barrier_warp;
-                    cat = SlotCat::Barrier;
-                }
-                profiler_->recordSlot(
-                    id_, witness == none ? kInvalidId : warpKernel_[witness],
-                    cat);
-            }
+            if (profiler_ != nullptr)
+                recordStalledSlot(*profiler_, stalls, 1);
             continue;
         }
         warpWake_[static_cast<std::size_t>(chosen)] = 0;
@@ -727,7 +618,11 @@ SimtCore::nextWorkCycle(Cycle now) const
         switch (instr.op) {
           case Opcode::LdShared:
           case Opcode::StShared:
-            wake = std::max(wake, smemBusyUntil_);
+            // The port matters only once the scoreboard has cleared:
+            // until then the warp is a `scoreboard`/`pipeline` stall,
+            // and the span must end where it turns `mem_structural`.
+            if (wake <= now)
+                wake = std::max(wake, smemBusyUntil_);
             break;
           case Opcode::LdGlobal:
           case Opcode::StGlobal:
@@ -773,9 +668,17 @@ SimtCore::accountQuietSpan(Cycle now, std::uint64_t n, MemProfiler* memprof)
     else
         stallIdleCycles_ += n;
     if (profiler_ != nullptr) {
+        // Classify each slot with the issue walk's own test at `now`:
+        // the span ends at every wake time, so `now` stands for it all.
         for (std::size_t s = 0; s < schedulers_.size(); ++s) {
-            const auto [kernel, cat] = classifyStalledSlot(s, now);
-            profiler_->recordSlotSpan(id_, kernel, cat, n);
+            SlotStalls stalls;
+            for (const int id : slotIds_[s]) {
+                const bool ready =
+                    warpIssuable(static_cast<std::size_t>(id), now, &stalls);
+                BSCHED_CHECK(!ready, name_, ": warp ", id,
+                             " can issue in a quiet span at cycle ", now);
+            }
+            recordStalledSlot(*profiler_, stalls, n);
         }
         profiler_->recordNoIssueSpan(id_, n);
     }

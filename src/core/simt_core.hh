@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/ldst_unit.hh"
@@ -28,23 +27,6 @@ namespace bsched {
 
 class Tracer;
 class MemProfiler;
-
-/**
- * Why one warp could not issue this cycle — the reason the issue
- * walk's scoreboard + structuralReady() check collapses to a bool.
- * Produced by SimtCore::warpRefusal() for quiet-span accounting only;
- * the issue walk never computes it.
- */
-enum class IssueRefusal : std::uint8_t
-{
-    None,     ///< the warp would issue
-    WaitLoad, ///< operand pending on an outstanding load (memory latency)
-    WaitExec, ///< operand pending on a fixed-latency ALU/SFU/smem result
-    MemPort,  ///< LD/ST issue ports already used this cycle
-    MemUnit,  ///< LD/ST unit refused admission (queue/outgoing/MSHR full)
-    SmemBusy, ///< shared-memory port serializing a bank-conflict replay
-    SfuPort,  ///< SFU issue ports already used this cycle
-};
 
 /** A CTA completion event reported to the CTA scheduler. */
 struct CtaDoneEvent
@@ -94,11 +76,13 @@ class SimtCore
     /**
      * Earliest cycle >= @p now at which this core can do observable
      * work on its own, valid only right after a quiet tick: the LD/ST
-     * unit's next event, or the first scoreboard/shared-memory wake
-     * time of a live non-barrier warp. Warps waiting on an outstanding
-     * load (or an MSHR-full refusal) wake via memory-system events,
-     * which the GPU bounds separately. kCycleNever if only external
-     * events can wake the core.
+     * unit's next event, or the first wake time of a live non-barrier
+     * warp: its scoreboard wake, or, once that has passed, the
+     * shared-memory port's free cycle for a shared op (so a quiet span
+     * never runs past a change of any warp's stall category). Warps
+     * waiting on an outstanding load (or an MSHR-full refusal) wake via
+     * memory-system events, which the GPU bounds separately.
+     * kCycleNever if only external events can wake the core.
      */
     Cycle nextWorkCycle(Cycle now) const;
 
@@ -162,15 +146,6 @@ class SimtCore
         return schedulers_;
     }
 
-    /**
-     * Why @p warp cannot issue at @p now (IssueRefusal::None if it can).
-     * Must stay the exact reason-reporting mirror of the issue walk's
-     * scoreboard + structuralReady() check: the walk keeps the bool so
-     * the profiling-disabled path does no extra work, and quiet-span
-     * accounting calls this only for slots that issue nothing.
-     */
-    IssueRefusal warpRefusal(const Warp& warp, Cycle now) const;
-
     void addStats(StatSet& stats) const;
 
     /**
@@ -222,14 +197,40 @@ class SimtCore
     /** The track of @p kernel_id; null if it never ran here. */
     const KernelTrack* track(int kernel_id) const;
 
+    /**
+     * Profiler only: the lowest warp id of one slot refused in each
+     * stall category. The issue test visits every live warp of a slot
+     * that issues nothing, so this is the first-seen warp of each
+     * category in warp-id order, whatever order the policy walks.
+     */
+    struct SlotStalls
+    {
+        static constexpr std::size_t kNone = SIZE_MAX;
+        std::size_t mem = kNone;
+        std::size_t sb = kNone;
+        std::size_t pipe = kNone;
+        std::size_t barrier = kNone;
+    };
+
     /** Structural half of the issue check (ports, LD/ST admission,
      *  smem); the scoreboard is the other half. */
     bool structuralReady(const Instr& instr, Cycle now) const;
-    /** Classify a slot that issues nothing across a quiet span
-     *  (profiler path): the category and the kernel it is attributed
-     *  to. */
-    std::pair<int, SlotCat> classifyStalledSlot(std::size_t slot,
-                                                Cycle now) const;
+    /**
+     * The issue test: can warp @p w issue at @p now? Caches a
+     * scoreboard-blocked warp's wake time in warpWake_. A refused warp
+     * is noted under its stall category in @p stalls when non-null.
+     * The issue walk and quiet-span accounting share it, so plain
+     * stepping and fast-forward classify stalls with the same code.
+     */
+    bool warpIssuable(std::size_t w, Cycle now, SlotStalls* stalls);
+    /**
+     * Record @p n cycles of a slot that issued nothing on @p profiler:
+     * one exclusive category, mem_structural > scoreboard > pipeline >
+     * barrier, attributed to the lowest refused warp's kernel; a slot
+     * with no live warp at all is `empty`.
+     */
+    void recordStalledSlot(CycleProfiler& profiler, const SlotStalls& stalls,
+                           std::uint64_t n) const;
     /** One cycle's issue walk over every slot with @p Policy's walk
      *  inlined; true if any slot issued. */
     template <class Policy>

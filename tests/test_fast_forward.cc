@@ -78,6 +78,37 @@ ffStoreKernel(const std::string& name, std::uint32_t grid_ctas = 16)
     return k;
 }
 
+/**
+ * Shared-memory kernel: a 16-way bank-conflicted shared load keeps the
+ * shared-memory port busy past the scoreboard wake of another warp's
+ * shared store, which waits on an SFU result. That warp's stall
+ * category turns from `pipeline` to `mem_structural` mid-span unless
+ * the span ends at its scoreboard wake.
+ */
+KernelInfo
+ffSharedKernel(const std::string& name, std::uint32_t grid_ctas = 12)
+{
+    KernelInfo k;
+    k.name = name;
+    k.grid = {grid_ctas, 1, 1};
+    k.cta = {128, 1, 1};
+    k.regsPerThread = 16;
+    ProgramBuilder b;
+    MemPattern in;
+    in.kind = AccessKind::Coalesced;
+    in.base = 0x1000000;
+    MemPattern sh;
+    sh.kind = AccessKind::SharedBank;
+    sh.space = MemSpace::Shared;
+    sh.bankStride = 16;
+    const auto i = b.pattern(in);
+    const auto s = b.pattern(sh);
+    b.loop(8).load(i).alu(2).loadShared(s).sfu(1).storeShared(s).endLoop();
+    k.program = b.build();
+    k.validate();
+    return k;
+}
+
 /** Shrunk machine: quick runs, still multi-core and multi-partition. */
 GpuConfig
 smallConfig(WarpSchedKind warp_sched, CtaSchedKind cta_sched)
@@ -115,14 +146,20 @@ artifactBytes(GpuConfig config, const KernelInfo& kernel, bool fast_forward)
 
 TEST(FastForwardEquivalence, AllWarpSchedulers)
 {
-    const KernelInfo kernel = ffKernel("ff_warp");
-    for (WarpSchedKind ws :
-         {WarpSchedKind::LRR, WarpSchedKind::GTO, WarpSchedKind::TwoLevel,
-          WarpSchedKind::BAWS}) {
-        const GpuConfig config = smallConfig(ws, CtaSchedKind::RoundRobin);
-        EXPECT_EQ(artifactBytes(config, kernel, true),
-                  artifactBytes(config, kernel, false))
-            << "warp scheduler " << toString(ws);
+    // The shared-memory kernel is the regression for a quiet span that
+    // ran past a shared op's scoreboard wake to the port's free cycle
+    // and so replayed the warp's earlier stall category.
+    for (const KernelInfo& kernel :
+         {ffKernel("ff_warp"), ffSharedKernel("ff_shared")}) {
+        for (WarpSchedKind ws :
+             {WarpSchedKind::LRR, WarpSchedKind::GTO,
+              WarpSchedKind::TwoLevel, WarpSchedKind::BAWS}) {
+            const GpuConfig config =
+                smallConfig(ws, CtaSchedKind::RoundRobin);
+            EXPECT_EQ(artifactBytes(config, kernel, true),
+                      artifactBytes(config, kernel, false))
+                << kernel.name << " under warp scheduler " << toString(ws);
+        }
     }
 }
 
