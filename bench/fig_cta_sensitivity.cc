@@ -14,7 +14,6 @@
 
 #include "bench_common.hh"
 #include "harness/runner.hh"
-#include "kernel/occupancy.hh"
 #include "sim/table.hh"
 #include "workloads/suite.hh"
 
@@ -36,30 +35,30 @@ main(int argc, char** argv)
                      "6", "7", "8", "best-N"});
 
     BenchReport report("fig_cta_sensitivity");
-    for (const std::string& name : workloadNames()) {
-        const KernelInfo kernel = makeWorkload(name);
-        const std::uint32_t n_max = maxCtasPerCore(base, kernel);
-        const auto sweep = sweepCtaLimit(base, kernel, n_max, jobs);
+    const auto names = workloadNames();
+    std::vector<KernelInfo> kernels;
+    for (const std::string& name : names)
+        kernels.push_back(makeWorkload(name));
+    const auto oracles = oracleStaticBest(base, kernels, jobs);
+    for (std::size_t w = 0; w < names.size(); ++w) {
+        const std::string& name = names[w];
+        const std::vector<RunResult>& sweep = oracles[w].byLimit;
+        const std::uint32_t n_max = oracles[w].maxLimit;
         const double base_ipc = sweep.back().ipc;
 
-        std::vector<std::string> row = {name, toString(kernel.typeClass),
+        std::vector<std::string> row = {name,
+                                        toString(kernels[w].typeClass),
                                         std::to_string(n_max)};
-        std::uint32_t best = 1;
         for (std::uint32_t n = 1; n <= 8; ++n) {
-            if (n <= n_max) {
-                row.push_back(fmt(sweep[n - 1].ipc / base_ipc, 3));
-                if (sweep[n - 1].ipc > sweep[best - 1].ipc)
-                    best = n;
-            } else {
-                row.push_back("-");
-            }
+            row.push_back(n <= n_max ? fmt(sweep[n - 1].ipc / base_ipc, 3)
+                                     : "-");
         }
-        row.push_back(std::to_string(best));
+        row.push_back(std::to_string(oracles[w].bestLimit));
         table.addRow(row);
         for (std::uint32_t n = 1; n <= n_max; ++n)
             report.addRow(name + "/n" + std::to_string(n), sweep[n - 1]);
         report.addMetric(name + ".n_max", n_max);
-        report.addMetric(name + ".best_n", best);
+        report.addMetric(name + ".best_n", oracles[w].bestLimit);
     }
     std::printf("%s\n", table.toText().c_str());
     std::printf("Reading: type-1 rows flatten early, type-2 rows rise to "

@@ -39,13 +39,17 @@ main(int argc, char** argv)
 
     BenchReport report("fig_lcs_speedup");
     const auto names = workloadNames();
-    const auto grid = bench::runWorkloadGrid(names, {base, lcs}, jobs);
+    std::vector<KernelInfo> kernels;
+    for (const std::string& name : names)
+        kernels.push_back(makeWorkload(name));
+    const auto grid = bench::runKernelGrid(kernels, {base, lcs}, jobs);
+    const auto oracles = oracleStaticBest(base, kernels, jobs);
     for (std::size_t w = 0; w < names.size(); ++w) {
         const std::string& name = names[w];
-        const KernelInfo kernel = makeWorkload(name);
+        const KernelInfo& kernel = kernels[w];
         const RunResult& baseline = grid.at(w, 0);
         const RunResult& lazy = grid.at(w, 1);
-        const OracleResult oracle = oracleStaticBest(base, kernel, jobs);
+        const OracleResult& oracle = oracles[w];
         const double s_lcs = lazy.ipc / baseline.ipc;
         const double s_oracle =
             oracle.byLimit[oracle.bestLimit - 1].ipc / baseline.ipc;

@@ -207,8 +207,9 @@ main(int argc, char** argv)
     const KernelInfo epi = makePhasedEpilogue();
     GpuConfig sweep = config;
     sweep.ctaSched = CtaSchedKind::RoundRobin;
-    const OracleResult pro_best = oracleStaticBest(sweep, pro, opts.jobs);
-    const OracleResult epi_best = oracleStaticBest(sweep, epi, opts.jobs);
+    const auto regime_best = oracleStaticBest(sweep, {pro, epi}, opts.jobs);
+    const OracleResult& pro_best = regime_best[0];
+    const OracleResult& epi_best = regime_best[1];
     const std::uint32_t n_lcs = lcsChosenLimit(config, phased);
 
     Table regimes("per-regime static-best CTA limit vs one-shot pick");

@@ -115,6 +115,7 @@ struct RateSample
 {
     double simCyclesPerSec = 0.0;       ///< best trial
     std::uint64_t cyclesPerRep = 0;
+    std::uint64_t reps = 0;             ///< simulations per trial
     double wallSec = 0.0;               ///< wall time of the best trial
     std::vector<double> trialRates;     ///< every trial, in time order
 };
@@ -125,6 +126,15 @@ struct RateSample
  * also the sample count behind every overhead/speedup figure.
  */
 constexpr int kRateTrials = 5;
+
+/**
+ * Simulated cycles one trial of a point covers at least. Each point
+ * runs ceil(kMinTrialCycles / cyclesPerRep) simulations per trial: 22
+ * for the 4,753-cycle toy kernel, one for a 345,905-cycle serving run.
+ * A rep count shared by all points would make each serving trial about
+ * 70x as long as a toy-kernel trial.
+ */
+constexpr std::uint64_t kMinTrialCycles = 100'000;
 
 /** Which observers the measured runs attach. */
 enum class ObsMode
@@ -226,27 +236,31 @@ struct RatePoint
 };
 
 /**
- * Time @p reps simulations of every point, kRateTrials trials each,
- * with the trial loop on the *outside*: trial t of every point runs
- * back-to-back before trial t+1 of any. Ratios between two points'
- * same-index trials therefore compare measurements taken milliseconds
- * apart — see pairedRatio() for why that matters.
+ * Time every point kRateTrials times, each trial at least
+ * kMinTrialCycles simulated cycles, with the trial loop on the
+ * *outside*: trial t of every point runs back-to-back before trial t+1
+ * of any. Ratios between two points' same-index trials therefore
+ * compare measurements taken moments apart — see pairedRatio() for why
+ * that matters.
  */
 std::vector<RateSample>
-measureInterleaved(const std::vector<RatePoint>& points, int reps)
+measureInterleaved(const std::vector<RatePoint>& points)
 {
     using Clock = std::chrono::steady_clock;
     std::vector<RateSample> samples(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-        // Warmup, also pins the per-rep cycle count.
-        samples[i].cyclesPerRep = simulateOnce(
+        // Warmup, also pins the per-rep cycle count and so the reps.
+        RateSample& sample = samples[i];
+        sample.cyclesPerRep = simulateOnce(
             *points[i].config, *points[i].kernel, points[i].mode);
+        sample.reps = (kMinTrialCycles + sample.cyclesPerRep - 1) /
+            sample.cyclesPerRep;
     }
     for (int trial = 0; trial < kRateTrials; ++trial) {
         for (std::size_t i = 0; i < points.size(); ++i) {
             const Clock::time_point t0 = Clock::now();
             std::uint64_t total_cycles = 0;
-            for (int rep = 0; rep < reps; ++rep) {
+            for (std::uint64_t rep = 0; rep < samples[i].reps; ++rep) {
                 total_cycles += simulateOnce(*points[i].config,
                                              *points[i].kernel,
                                              points[i].mode);
@@ -307,7 +321,6 @@ writeSimspeedJson(const std::string& path)
     const GpuConfig config = makeConfig(WarpSchedKind::GTO,
                                         CtaSchedKind::RoundRobin);
     const KernelInfo kernel = smallKernel();
-    constexpr int kReps = 20;
 
     // Fast-forward on/off configs; explicit flags so the section
     // measures both paths regardless of the process-wide default.
@@ -334,7 +347,7 @@ writeSimspeedJson(const std::string& path)
         {&config, &kernel, ObsMode::ServePlain},
         {&config, &kernel, ObsMode::ServeTraced},
     };
-    const std::vector<RateSample> samples = measureInterleaved(points, kReps);
+    const std::vector<RateSample> samples = measureInterleaved(points);
     const RateSample& plain = samples[0];
     const RateSample& observed = samples[1];
     const RateSample& profiled = samples[2];
@@ -372,7 +385,7 @@ writeSimspeedJson(const std::string& path)
     auto write = [&](std::ostream& os) {
         os << "{\n  \"schema\": \"bsched-simspeed-v1\",\n"
            << "  \"kernel\": \"" << jsonEscape(kernel.name) << "\",\n"
-           << "  \"reps\": " << kReps << ",\n  \"modes\": {\n";
+           << "  \"reps\": " << plain.reps << ",\n  \"modes\": {\n";
         mode_json(os, "plain", plain, false);
         mode_json(os, "observed", observed, false);
         mode_json(os, "profiled", profiled, false);

@@ -64,25 +64,17 @@ main(int argc, char** argv)
                                             "pf",     "bfs", "lavamd",
                                             "bp",     "gemm"};
 
-    // Fan out per workload; each point runs its LCS simulation and the
-    // oracle's static sweep serially (jobs=1) so pools don't nest.
-    struct Point
-    {
-        RunResult lazy;
-        OracleResult oracle;
-    };
-    const ParallelRunner runner(jobs);
-    const auto points = runner.map<Point>(names.size(), [&](std::size_t i) {
-        const KernelInfo kernel = makeWorkload(names[i]);
-        return Point{runKernel(lcs, kernel),
-                     oracleStaticBest(base, kernel, 1)};
-    });
+    std::vector<KernelInfo> kernels;
+    for (const std::string& name : names)
+        kernels.push_back(makeWorkload(name));
+    const auto lazy_runs = bench::runKernelGrid(kernels, {lcs}, jobs);
+    const auto oracles = oracleStaticBest(base, kernels, jobs);
 
     BenchReport report("tab_lcs_accuracy");
     for (std::size_t i = 0; i < names.size(); ++i) {
         const std::string& name = names[i];
-        const RunResult& lazy = points[i].lazy;
-        const OracleResult& oracle = points[i].oracle;
+        const RunResult& lazy = lazy_runs.at(i, 0);
+        const OracleResult& oracle = oracles[i];
         const int cap = std::min(modeNopt(lazy.stats),
                                  static_cast<int>(oracle.maxLimit));
         const int estimate =

@@ -46,7 +46,7 @@ main()
     std::printf("Sweeping the static CTA limit (the oracle search, "
                 "%u jobs)...\n\n",
                 resolveJobs());
-    const OracleResult oracle = oracleStaticBest(base, kernel);
+    const OracleResult oracle = oracleStaticBest(base, {kernel})[0];
     Table table("IPC vs CTAs per core");
     table.setHeader({"CTAs/core", "IPC", "L1 miss %"});
     for (std::uint32_t n = 1; n <= oracle.maxLimit; ++n) {

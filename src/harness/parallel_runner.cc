@@ -25,8 +25,9 @@ std::atomic<bool> g_progress{false};
 class ProgressMeter
 {
   public:
-    explicit ProgressMeter(std::size_t total)
-        : total_(total), start_(Clock::now()), lastPrint_(start_)
+    ProgressMeter(std::size_t total, std::size_t requested)
+        : total_(total), requested_(requested), start_(Clock::now()),
+          lastPrint_(start_)
     {}
 
     void
@@ -44,8 +45,11 @@ class ProgressMeter
             std::chrono::duration<double>(now - start_).count();
         const double rate =
             secs > 0.0 ? static_cast<double>(done) / secs : 0.0;
-        std::fprintf(stderr, "harness: %zu/%zu points (%.1f points/s)%s",
-                     done, total_, rate, done == total_ ? "\n" : "\r");
+        std::fprintf(stderr,
+                     "harness: %zu/%zu points (%zu requested, %.1f "
+                     "points/s)%s",
+                     done, total_, requested_, rate,
+                     done == total_ ? "\n" : "\r");
         std::fflush(stderr);
     }
 
@@ -53,6 +57,7 @@ class ProgressMeter
     using Clock = std::chrono::steady_clock;
 
     std::size_t total_;
+    std::size_t requested_;
     std::atomic<std::size_t> done_{0};
     std::mutex mutex_;
     Clock::time_point start_;
@@ -101,14 +106,39 @@ ParallelRunner::ParallelRunner(unsigned jobs)
     : jobs_(resolveJobs(jobs))
 {}
 
+std::vector<std::size_t>
+firstOccurrences(const std::vector<SimPoint>& points)
+{
+    std::vector<std::size_t> first(points.size());
+    std::vector<std::size_t> distinct;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const auto same = [&](std::size_t j) {
+            return points[j].config == points[i].config &&
+                points[j].kernel == points[i].kernel;
+        };
+        const auto it = std::find_if(distinct.begin(), distinct.end(), same);
+        first[i] = it == distinct.end() ? i : *it;
+        if (first[i] == i)
+            distinct.push_back(i);
+    }
+    return first;
+}
+
 void
 ParallelRunner::forEachIndex(std::size_t n,
                              const std::function<void(std::size_t)>& fn) const
 {
+    fanOut(n, n, fn);
+}
+
+void
+ParallelRunner::fanOut(std::size_t n, std::size_t requested,
+                       const std::function<void(std::size_t)>& fn) const
+{
     if (n == 0)
         return;
     const bool progress = harnessProgressEnabled();
-    ProgressMeter meter(n);
+    ProgressMeter meter(n, requested);
     const unsigned workers =
         static_cast<unsigned>(std::min<std::size_t>(jobs_, n));
     if (workers <= 1) {
@@ -133,9 +163,24 @@ ParallelRunner::forEachIndex(std::size_t n,
 std::vector<RunResult>
 ParallelRunner::run(const std::vector<SimPoint>& points) const
 {
-    return map<RunResult>(points.size(), [&](std::size_t i) {
-        return runKernel(points[i].config, points[i].kernel);
+    const std::vector<std::size_t> first = firstOccurrences(points);
+    std::vector<std::size_t> distinct;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (first[i] == i)
+            distinct.push_back(i);
+    }
+    // Each distinct point writes its own slot; repeats are filled after
+    // the fan-out, so no slot is read while a worker may write it.
+    std::vector<RunResult> out(points.size());
+    fanOut(distinct.size(), points.size(), [&](std::size_t d) {
+        const SimPoint& point = points[distinct[d]];
+        out[distinct[d]] = runKernel(point.config, point.kernel);
     });
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (first[i] != i)
+            out[i] = out[first[i]];
+    }
+    return out;
 }
 
 std::vector<RunResult>

@@ -4,6 +4,13 @@
  * simulation points out across worker threads and collect the results in
  * deterministic submission order.
  *
+ * Repeats. Experiments declare the same point more than once (every
+ * oracle is the same static-limit sweep). run() compares points by value
+ * with the defaulted operator== of GpuConfig and KernelInfo, simulates
+ * the first occurrence of each distinct point and copies its result into
+ * every repeat. The compiler-generated equality covers every field,
+ * including fields added later, so no key needs maintaining.
+ *
  * Threading model. Each grid point owns a private Gpu built from its own
  * by-value GpuConfig and KernelInfo copies. The simulator core keeps no
  * mutable process-wide state (the only global knob, the log level, is
@@ -45,14 +52,23 @@ struct SimPoint
 unsigned resolveJobs(unsigned requested = 0);
 
 /**
+ * For each point, the index of the first point with an equal GpuConfig
+ * and KernelInfo (the label is not compared). Point i is distinct when
+ * the result holds i; ParallelRunner::run simulates only those.
+ */
+std::vector<std::size_t> firstOccurrences(const std::vector<SimPoint>& points);
+
+/**
  * Enable/disable the grid-progress heartbeat: when on, every
- * ParallelRunner fan-out reports "completed/total points" to stderr,
- * rate-limited to a few updates per second, with a closing line when
- * the grid finishes. Off by default so CI logs stay clean; the bench
- * binaries turn it on with `--progress` (or BSCHED_PROGRESS=1). Like
- * the log level, this is a process-wide knob that must be set before
- * runs start — it is read-only while a grid is in flight, which keeps
- * the harness's no-shared-mutable-state contract intact.
+ * ParallelRunner fan-out reports "completed/total points (N requested)"
+ * to stderr (run() counts the distinct points it simulates against the
+ * points requested), rate-limited to a few updates per second, with a
+ * closing line when the grid finishes. Off by default so CI logs stay
+ * clean; the bench binaries turn it on with `--progress` (or
+ * BSCHED_PROGRESS=1). Like the log level, this is a process-wide knob
+ * that must be set before runs start — it is read-only while a grid is
+ * in flight, which keeps the harness's no-shared-mutable-state contract
+ * intact.
  */
 void setHarnessProgress(bool enabled);
 
@@ -69,7 +85,10 @@ class ParallelRunner
     /** Effective worker count. */
     unsigned jobs() const { return jobs_; }
 
-    /** Simulate every point; results in submission order. */
+    /**
+     * Simulate every distinct point once; results in submission order,
+     * a repeat holding a copy of its first occurrence's result.
+     */
     std::vector<RunResult> run(const std::vector<SimPoint>& points) const;
 
     /**
@@ -91,6 +110,10 @@ class ParallelRunner
                       const std::function<void(std::size_t)>& fn) const;
 
   private:
+    /** forEachIndex whose heartbeat names @p requested as the total asked. */
+    void fanOut(std::size_t n, std::size_t requested,
+                const std::function<void(std::size_t)>& fn) const;
+
     unsigned jobs_;
 };
 

@@ -66,35 +66,38 @@ runWorkload(const GpuConfig& config, const std::string& name)
     return runKernel(config, kernel);
 }
 
-std::vector<RunResult>
-sweepCtaLimit(GpuConfig config, const KernelInfo& kernel,
-              std::uint32_t limit_max, unsigned jobs)
+std::vector<OracleResult>
+oracleStaticBest(const GpuConfig& config,
+                 const std::vector<KernelInfo>& kernels, unsigned jobs)
 {
+    std::vector<OracleResult> oracles(kernels.size());
     std::vector<SimPoint> points;
-    points.reserve(limit_max);
-    for (std::uint32_t limit = 1; limit <= limit_max; ++limit) {
-        config.staticCtaLimit = limit;
-        points.push_back({config, kernel,
-                          kernel.name + "/limit" + std::to_string(limit)});
-    }
-    return runGrid(points, jobs);
-}
-
-OracleResult
-oracleStaticBest(const GpuConfig& config, const KernelInfo& kernel,
-                 unsigned jobs)
-{
-    OracleResult oracle;
-    oracle.maxLimit = maxCtasPerCore(config, kernel);
-    oracle.byLimit = sweepCtaLimit(config, kernel, oracle.maxLimit, jobs);
-    oracle.bestLimit = 1;
-    for (std::uint32_t limit = 2; limit <= oracle.maxLimit; ++limit) {
-        if (oracle.byLimit[limit - 1].ipc >
-            oracle.byLimit[oracle.bestLimit - 1].ipc) {
-            oracle.bestLimit = limit;
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+        oracles[k].maxLimit = maxCtasPerCore(config, kernels[k]);
+        for (std::uint32_t limit = 1; limit <= oracles[k].maxLimit;
+             ++limit) {
+            GpuConfig limited = config;
+            limited.staticCtaLimit = limit;
+            points.push_back({limited, kernels[k],
+                              kernels[k].name + "/limit" +
+                                  std::to_string(limit)});
         }
     }
-    return oracle;
+    const std::vector<RunResult> results = runGrid(points, jobs);
+
+    auto next = results.begin();
+    for (OracleResult& oracle : oracles) {
+        oracle.byLimit.assign(next, next + oracle.maxLimit);
+        next += oracle.maxLimit;
+        oracle.bestLimit = 1;
+        for (std::uint32_t limit = 2; limit <= oracle.maxLimit; ++limit) {
+            if (oracle.byLimit[limit - 1].ipc >
+                oracle.byLimit[oracle.bestLimit - 1].ipc) {
+                oracle.bestLimit = limit;
+            }
+        }
+    }
+    return oracles;
 }
 
 GpuConfig

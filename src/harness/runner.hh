@@ -1,8 +1,8 @@
 /**
  * @file
- * Experiment harness: single-kernel runs, static CTA-limit sweeps and
- * oracle selection. Shared by the bench binaries, examples and the
- * integration tests.
+ * Experiment harness: single-kernel runs and the static CTA-limit
+ * oracle. Shared by the bench binaries, examples and the integration
+ * tests.
  */
 
 #ifndef BSCHED_HARNESS_RUNNER_HH
@@ -52,18 +52,6 @@ RunResult runKernel(const GpuConfig& config, const KernelInfo& kernel,
 /** Run a suite workload by name. */
 RunResult runWorkload(const GpuConfig& config, const std::string& name);
 
-/**
- * Run @p kernel once per static CTA limit in [1, limit_max], returning
- * results indexed by limit-1. Uses the baseline round-robin scheduler.
- * The limits are independent simulation points and run across @p jobs
- * worker threads (0 = resolveJobs() default; results are identical for
- * any job count).
- */
-std::vector<RunResult> sweepCtaLimit(GpuConfig config,
-                                     const KernelInfo& kernel,
-                                     std::uint32_t limit_max,
-                                     unsigned jobs = 0);
-
 /** The static-best CTA limit for a kernel (the paper's oracle). */
 struct OracleResult
 {
@@ -73,12 +61,16 @@ struct OracleResult
 };
 
 /**
- * Sweep limits up to the kernel's occupancy max and pick the best IPC.
- * The sweep fans out across @p jobs worker threads (0 = default).
+ * The oracle of each kernel in @p kernels: run it under @p config once
+ * per static CTA limit from 1 to its occupancy max, and pick the limit
+ * with the best IPC (the lowest limit on a tie). Every kernel's sweep
+ * runs in one grid across @p jobs worker threads (0 = resolveJobs()
+ * default); results are identical for any job count and come back in
+ * the order of @p kernels.
  */
-OracleResult oracleStaticBest(const GpuConfig& config,
-                              const KernelInfo& kernel,
-                              unsigned jobs = 0);
+std::vector<OracleResult> oracleStaticBest(
+    const GpuConfig& config, const std::vector<KernelInfo>& kernels,
+    unsigned jobs = 0);
 
 /** Convenience: a GTX480-class config with the given policies. */
 GpuConfig makeConfig(WarpSchedKind warp_sched, CtaSchedKind cta_sched);

@@ -35,6 +35,8 @@ struct Instr
     std::uint8_t patternId = 0;
     /** Lanes active under SIMT divergence (1..32). */
     std::uint8_t activeLanes = kWarpSize;
+
+    bool operator==(const Instr&) const = default;
 };
 
 } // namespace bsched

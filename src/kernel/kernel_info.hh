@@ -64,6 +64,9 @@ struct KernelInfo
 
     /** Fatal() on malformed kernels. */
     void validate() const;
+
+    /** Member-wise equality, the program included. */
+    bool operator==(const KernelInfo&) const = default;
 };
 
 } // namespace bsched

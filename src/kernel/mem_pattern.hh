@@ -66,6 +66,8 @@ struct MemPattern
 
     /** Fatal() on inconsistent parameters. */
     void validate() const;
+
+    bool operator==(const MemPattern&) const = default;
 };
 
 /** Launch geometry needed by the generators. */

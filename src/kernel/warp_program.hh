@@ -28,6 +28,8 @@ struct Segment
      * when the segment (or any segment of the program) contains Bar.
      */
     std::uint32_t tripJitterPct = 0;
+
+    bool operator==(const Segment&) const = default;
 };
 
 /** The complete per-warp instruction stream plus its pattern table. */
@@ -61,6 +63,8 @@ class WarpProgram
     void validate() const;
 
     bool empty() const { return segments_.empty(); }
+
+    bool operator==(const WarpProgram&) const = default;
 
   private:
     std::vector<Segment> segments_;

@@ -70,6 +70,8 @@ struct CacheConfig
     bool writeAllocate = false;       ///< false: write-through no-allocate
 
     std::uint32_t numSets() const { return sizeBytes / (lineBytes * assoc); }
+
+    bool operator==(const CacheConfig&) const = default;
 };
 
 /** DRAM channel timing (core-clock cycles) and geometry. */
@@ -88,6 +90,8 @@ struct DramConfig
      * indefinitely.
      */
     Cycle maxStarveCycles = 400;
+
+    bool operator==(const DramConfig&) const = default;
 };
 
 /** How LCS turns the monitored per-CTA issue counts into N_opt. */
@@ -120,6 +124,8 @@ struct LcsConfig
     LcsEstimator estimator = LcsEstimator::IssueRatio;
     /** Contribution cut-off for the Threshold estimator (percent). */
     std::uint32_t thresholdPct = 40;
+
+    bool operator==(const LcsConfig&) const = default;
 };
 
 /** Parameters of the DYNCTA-style dynamic controller (comparator). */
@@ -134,12 +140,16 @@ struct DynctaConfig
     std::uint32_t memLowPct = 20;
     /** Idle-stall fraction that signals too little TLP (percent). */
     std::uint32_t idleHighPct = 10;
+
+    bool operator==(const DynctaConfig&) const = default;
 };
 
 /** Parameters of the BCS (block CTA scheduling) mechanism. */
 struct BcsConfig
 {
     std::uint32_t blockSize = 2; ///< consecutive CTAs dispatched together
+
+    bool operator==(const BcsConfig&) const = default;
 };
 
 /** Complete machine + policy configuration. */
@@ -213,6 +223,13 @@ struct GpuConfig
 
     /** Human-readable multi-line description (bench/tab_config). */
     std::string toString() const;
+
+    /**
+     * Member-wise equality over every field, nested structs included:
+     * two equal configs simulate identically, which is what lets the
+     * grid runner simulate a repeated point once.
+     */
+    bool operator==(const GpuConfig&) const = default;
 };
 
 } // namespace bsched

@@ -131,7 +131,8 @@ TEST(RunDeterminism, RunJsonBytesIdenticalAcrossRepeatsAndJobs)
     std::string report_bytes[2];
     const unsigned job_counts[2] = {1, 3};
     for (int r = 0; r < 2; ++r) {
-        const auto sweep = sweepCtaLimit(config, k, 4, job_counts[r]);
+        const auto sweep =
+            oracleStaticBest(config, {k}, job_counts[r])[0].byLimit;
         BenchReport report("determinism");
         for (std::size_t n = 0; n < sweep.size(); ++n)
             report.addRow("limit" + std::to_string(n + 1), sweep[n]);

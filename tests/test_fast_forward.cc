@@ -255,7 +255,8 @@ TEST(FastForwardEquivalence, JobCountsAndBenchReports)
     for (bool ff : {true, false}) {
         config.fastForward = ff;
         for (unsigned jobs : {1u, 4u}) {
-            const auto sweep = sweepCtaLimit(config, kernel, 4, jobs);
+            const auto sweep =
+                oracleStaticBest(config, {kernel}, jobs)[0].byLimit;
             BenchReport report("ff_jobs");
             for (std::size_t n = 0; n < sweep.size(); ++n)
                 report.addRow("limit" + std::to_string(n + 1), sweep[n]);

@@ -115,7 +115,7 @@ TEST(Integration, StaticCtaSweepShowsPeakedCurve)
     // The paper's central observation: max CTAs != max performance.
     const GpuConfig config =
         machine(WarpSchedKind::GTO, CtaSchedKind::RoundRobin);
-    const OracleResult oracle = oracleStaticBest(config, tileKernel());
+    const OracleResult oracle = oracleStaticBest(config, {tileKernel()})[0];
     EXPECT_LT(oracle.bestLimit, oracle.maxLimit);
     const double best = oracle.byLimit[oracle.bestLimit - 1].ipc;
     const double at_max = oracle.byLimit[oracle.maxLimit - 1].ipc;

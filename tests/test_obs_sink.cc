@@ -138,7 +138,8 @@ TEST(Sink, ReportBytesIdenticalAcrossJobCounts)
     std::string bytes[2];
     const unsigned job_counts[2] = {1, 4};
     for (int i = 0; i < 2; ++i) {
-        const auto sweep = sweepCtaLimit(config, k, 4, job_counts[i]);
+        const auto sweep =
+            oracleStaticBest(config, {k}, job_counts[i])[0].byLimit;
         BenchReport report("identity");
         for (std::size_t n = 0; n < sweep.size(); ++n)
             report.addRow("limit" + std::to_string(n + 1), sweep[n]);

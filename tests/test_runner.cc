@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/runner.hh"
+#include "kernel/occupancy.hh"
 #include "kernel/program_builder.hh"
 
 namespace bsched {
@@ -84,15 +85,16 @@ TEST(Runner, ZeroAccessKernelHasWellDefinedMissRates)
 
 TEST(Runner, SweepReturnsOneResultPerLimit)
 {
-    const auto sweep = sweepCtaLimit(cfg(), kernel(), 4);
-    ASSERT_EQ(sweep.size(), 4u);
-    for (const RunResult& r : sweep)
+    const OracleResult oracle = oracleStaticBest(cfg(), {kernel()})[0];
+    EXPECT_EQ(oracle.maxLimit, maxCtasPerCore(cfg(), kernel()));
+    ASSERT_EQ(oracle.byLimit.size(), oracle.maxLimit);
+    for (const RunResult& r : oracle.byLimit)
         EXPECT_EQ(r.instrs, kernel().totalDynamicInstrs());
 }
 
 TEST(Runner, OracleSelectsBestIpc)
 {
-    const OracleResult oracle = oracleStaticBest(cfg(), kernel());
+    const OracleResult oracle = oracleStaticBest(cfg(), {kernel()})[0];
     EXPECT_GE(oracle.bestLimit, 1u);
     EXPECT_LE(oracle.bestLimit, oracle.maxLimit);
     for (std::uint32_t n = 1; n <= oracle.maxLimit; ++n) {

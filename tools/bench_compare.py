@@ -14,7 +14,9 @@ schema and prints a per-metric delta table. Two schemas are understood:
     run-to-run spread on shared/virtualized runners exceeds the 5%
     figure-artifact tolerance CI uses). On top of the baseline diff the
     *current* artifact must meet machine-independent budget floors:
-    ``relative_rate.profiled_vs_plain >= 0.85`` (profiling overhead),
+    ``relative_rate.observed_vs_plain >= 0.5`` (tracer + sampler
+    overhead), ``relative_rate.profiled_vs_plain >= 0.85`` (profiling
+    overhead),
     ``relative_rate.servetraced_vs_plain >= 0.9`` (serving decision
     audit overhead), ``relative_rate.phase_vs_plain >= 0.9`` (phase
     telemetry overhead), ``fast_forward.idle_heavy.speedup >= 3.0`` (idle
@@ -219,6 +221,8 @@ def compare_simspeed(base: dict, cur: dict, cmp: Comparison) -> None:
 
     # Machine-independent budget floors on the *current* artifact —
     # these hold on any host, so they gate hard regardless of baseline.
+    cmp.budget("relative_rate.observed_vs_plain", 0.5,
+               cur_rel.get("observed_vs_plain"))
     cmp.budget("relative_rate.profiled_vs_plain", 0.85,
                cur_rel.get("profiled_vs_plain"))
     cmp.budget("relative_rate.servetraced_vs_plain", 0.9,
