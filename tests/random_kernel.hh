@@ -1,13 +1,16 @@
 /**
  * @file
- * Shared test fixture: a randomized but reproducible kernel and the
- * small three-core machine the property and golden tests run it on.
+ * Shared test fixtures: a randomized but reproducible kernel, the
+ * small three-core machine the property and golden tests run it on,
+ * and randomized machines that vary the issue and memory-admission
+ * widths.
  */
 
 #ifndef BSCHED_TESTS_RANDOM_KERNEL_HH
 #define BSCHED_TESTS_RANDOM_KERNEL_HH
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 #include "harness/runner.hh"
@@ -23,6 +26,33 @@ smallMachine(WarpSchedKind warp, CtaSchedKind cta)
     GpuConfig c = makeConfig(warp, cta);
     c.numCores = 3;
     c.numMemPartitions = 2;
+    return c;
+}
+
+/**
+ * A randomized but reproducible valid machine drawn from @p seed: 1-4
+ * issue slots, 1-2 LD/ST and SFU ports, an LD/ST queue of 1-4, 1-32 L1
+ * MSHRs, a core memory queue of 1-16, odd core and partition counts,
+ * and any CTA scheduler. Callers pick the warp scheduler.
+ */
+inline GpuConfig
+randomMachine(std::uint64_t seed)
+{
+    constexpr CtaSchedKind kCtaScheds[] = {
+        CtaSchedKind::RoundRobin, CtaSchedKind::Lazy, CtaSchedKind::Block,
+        CtaSchedKind::LazyBlock, CtaSchedKind::Dynamic};
+    Rng rng(~seed);
+    GpuConfig c = makeConfig(WarpSchedKind::GTO,
+                             kCtaScheds[rng.nextBelow(std::size(kCtaScheds))]);
+    c.numCores = static_cast<std::uint32_t>(1 + 2 * rng.nextBelow(3));
+    c.numMemPartitions = static_cast<std::uint32_t>(1 + 2 * rng.nextBelow(2));
+    c.numSchedulersPerCore = static_cast<std::uint32_t>(1 + rng.nextBelow(4));
+    c.ldstUnits = static_cast<std::uint32_t>(1 + rng.nextBelow(2));
+    c.sfuUnits = static_cast<std::uint32_t>(1 + rng.nextBelow(2));
+    c.ldstQueueDepth = static_cast<std::uint32_t>(1 + rng.nextBelow(4));
+    c.l1d.mshrEntries = static_cast<std::uint32_t>(1 + rng.nextBelow(32));
+    c.coreMemQueue = static_cast<std::uint32_t>(1 + rng.nextBelow(16));
+    c.validate();
     return c;
 }
 

@@ -5,6 +5,8 @@
  * variant), plus LCS fixed-window runs, co-resident kernel pairs and
  * profiled runs, must reproduce the cycles, instruction count
  * and StatSet (or profile) hash recorded in data/schedule_golden.txt.
+ * The machine/ rows run each random kernel on a random machine
+ * (randomMachine()) under every warp scheduler, plain and profiled.
  * A policy refactor that changes any issue or dispatch decision moves
  * at least one row. On a mismatch the test prints the whole table in
  * the file's format.
@@ -140,6 +142,32 @@ simulateTable()
         writeProfileJson(json, profiler, "golden");
         rows.push_back(row(std::string("profiled/") + toString(warp), gpu,
                            fnv1a(json.str())));
+    }
+    for (std::uint64_t seed = 200; seed < 212; ++seed) {
+        // Random machines: issue width, port budgets and LD/ST admission
+        // depths the fixed machines above never reach.
+        const KernelInfo k = randomKernel(seed);
+        for (WarpSchedKind warp : kWarpScheds) {
+            GpuConfig config = randomMachine(seed);
+            config.warpSched = warp;
+            const std::string key =
+                "machine/" + std::to_string(seed) + "/" + toString(warp);
+            Gpu plain(config);
+            plain.launchKernel(k);
+            plain.run();
+            rows.push_back(row(key, plain, statsHash(plain.stats())));
+
+            CycleProfiler profiler;
+            Observer obs;
+            obs.profiler = &profiler;
+            Gpu gpu(config, obs);
+            gpu.launchKernel(k);
+            gpu.run();
+            std::ostringstream json;
+            writeProfileJson(json, profiler, "golden");
+            rows.push_back(
+                row(key + "/profiled", gpu, fnv1a(json.str())));
+        }
     }
     return rows;
 }
