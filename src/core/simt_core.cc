@@ -23,6 +23,7 @@ SimtCore::SimtCore(const GpuConfig& config, std::uint32_t id)
       ageOrder_(config.numSchedulersPerCore),
       slotCtas_(config.numSchedulersPerCore),
       ctaIssued_(config.maxCtasPerCore, 0),
+      slotStalls_(config.numSchedulersPerCore),
       warpWake_(config.maxWarpsPerCore(), 0),
       warpKernel_(config.maxWarpsPerCore(), kInvalidId),
       freeWarpSlots_(config.maxWarpsPerCore())
@@ -115,6 +116,7 @@ SimtCore::launchCta(Cycle now, const KernelInfo& kernel, int kernel_id,
     if (placed != fp.warps)
         panic(name_, ": warp slot accounting mismatch");
     regroupSlots();
+    wakeSlots();
 
     BSCHED_CHECK(kernel_id >= 0, name_, ": launch of invalid kernel id ",
                  kernel_id);
@@ -346,6 +348,7 @@ SimtCore::completeCta(int hw_cta, Cycle now)
         });
     }
     regroupSlots();
+    wakeSlots();
     for (Warp& warp : warps_) {
         if (warp.valid && warp.hwCta == hw_cta) {
             warp.clear();
@@ -405,6 +408,13 @@ SimtCore::regroupSlots()
 }
 
 void
+SimtCore::wakeSlots()
+{
+    for (SlotStalls& slot : slotStalls_)
+        slot.wake = 0;
+}
+
+void
 SimtCore::checkBarrier(int hw_cta)
 {
     HwCta& cta = ctas_[static_cast<std::size_t>(hw_cta)];
@@ -416,6 +426,7 @@ SimtCore::checkBarrier(int hw_cta)
             warp.atBarrier = false;
     }
     cta.warpsArrived = 0;
+    wakeSlots();
 }
 
 bool
@@ -423,24 +434,31 @@ SimtCore::applyCompletions(Cycle now)
 {
     bool applied = false;
     for (const LoadCompletion& done : ldst_.drainCompletions()) {
-        Warp& warp = warps_[static_cast<std::size_t>(done.warpId)];
+        const auto w = static_cast<std::size_t>(done.warpId);
         // The warp slot may have been recycled only if its CTA finished,
         // which is impossible with a load in flight.
-        warp.sb.release(done.reg, now);
-        warpWake_[static_cast<std::size_t>(done.warpId)] = 0;
+        warps_[w].sb.release(done.reg, now);
+        warpWake_[w] = 0;
+        slotStalls_[w % slotStalls_.size()].wake = 0; // the warp's slot
         applied = true;
     }
     return applied;
 }
 
 inline bool
-SimtCore::warpIssuable(std::size_t w, Cycle now, SlotStalls* stalls)
+SimtCore::warpIssuable(std::size_t w, Cycle now, SlotStalls& stalls)
 {
+    // A scoreboard wait: kCycleNever marks an outstanding load
+    // (`scoreboard`, lifted by its completion), a finite cycle a
+    // fixed-latency result (`pipeline`, lifted at that cycle).
+    auto scoreboard_stall = [&](Cycle wake) {
+        std::size_t& cat = wake == kCycleNever ? stalls.sb : stalls.pipe;
+        cat = std::min(cat, w);
+        stalls.wake = std::min(stalls.wake, wake);
+    };
     // SoA fast path: a slot whose cached scoreboard wake time is in the
     // future cannot issue — skip without touching the warp record (a
-    // cached wake implies the warp is live). kCycleNever marks an
-    // outstanding load (`scoreboard`), a finite future cycle a
-    // fixed-latency result (`pipeline`).
+    // cached wake implies the warp is live).
     const Cycle cached_wake = warpWake_[w];
     if (cached_wake > now) {
         BSCHED_CHECK(
@@ -449,42 +467,40 @@ SimtCore::warpIssuable(std::size_t w, Cycle now, SlotStalls* stalls)
                     warps_[w].cursor.instr(warps_[w].kernel->program), now),
             name_, ": stale warp wake cache for warp ", w, " (cached ",
             cached_wake, " at cycle ", now, ")");
-        if (stalls != nullptr) {
-            std::size_t& cat =
-                cached_wake == kCycleNever ? stalls->sb : stalls->pipe;
-            cat = std::min(cat, w);
-        }
+        scoreboard_stall(cached_wake);
         return false;
     }
     const Warp& warp = warps_[w];
     if (!warp.live())
         return false;
     if (warp.atBarrier) {
-        if (stalls != nullptr)
-            stalls->barrier = std::min(stalls->barrier, w);
+        stalls.barrier = std::min(stalls.barrier, w);
         return false;
     }
     const Instr& instr = warp.cursor.instr(warp.kernel->program);
     if (!warp.sb.canIssue(instr, now)) {
         // Cache the wake time; cleared on release/issue/launch.
-        const Cycle wake = warp.sb.nextReadyCycle(instr);
-        warpWake_[w] = wake;
-        if (stalls != nullptr) {
-            std::size_t& cat = wake == kCycleNever ? stalls->sb : stalls->pipe;
-            cat = std::min(cat, w);
-        }
+        warpWake_[w] = warp.sb.nextReadyCycle(instr);
+        scoreboard_stall(warpWake_[w]);
         return false;
     }
     if (structuralReady(instr, now))
         return true;
-    if (stalls != nullptr) {
-        // The refusal kind follows from the opcode alone: only memory
-        // ops (LD/ST port, LD/ST queue, MSHRs, shared memory) and the
-        // SFU port can structurally refuse a scoreboard-clear warp.
-        std::size_t& cat =
-            instr.op == Opcode::Sfu ? stalls->pipe : stalls->mem;
-        cat = std::min(cat, w);
-    }
+    // The refusal kind follows from the opcode alone: only memory ops
+    // (LD/ST port, LD/ST queue, MSHRs, shared memory) and the SFU port
+    // can structurally refuse a scoreboard-clear warp. A spent port
+    // budget lifts next cycle and a busy shared-memory port when it
+    // frees; LD/ST admission lifts on an event (the issue stage's
+    // canAdmit watch).
+    const bool sfu = instr.op == Opcode::Sfu;
+    std::size_t& cat = sfu ? stalls.pipe : stalls.mem;
+    cat = std::min(cat, w);
+    Cycle wake = kCycleNever;
+    if (sfu || memIssuedThisCycle_ >= config_.ldstUnits)
+        wake = now + 1;
+    else if (instr.op == Opcode::LdShared || instr.op == Opcode::StShared)
+        wake = smemBusyUntil_;
+    stalls.wake = std::min(stalls.wake, wake);
     return false;
 }
 
@@ -520,18 +536,44 @@ template <class Policy>
 bool
 SimtCore::issueSlots(Cycle now)
 {
-    std::uint32_t issued = 0;
-    for (std::size_t s = 0; s < schedulers_.size(); ++s) {
-        SlotStalls stalls;
-        SlotStalls* const noted = profiler_ != nullptr ? &stalls : nullptr;
+    // LD/ST admission that opened since the last issue stage may lift a
+    // sleeping slot's memory refusal.
+    if ((!admitLoad_ && ldst_.canAdmit(false)) ||
+        (!admitStore_ && ldst_.canAdmit(true)))
+        wakeSlots();
+    auto walk = [&](std::size_t s, SlotStalls& stalls) {
         auto issuable = [&](int id) {
-            return warpIssuable(static_cast<std::size_t>(id), now, noted);
+            return warpIssuable(static_cast<std::size_t>(id), now, stalls);
         };
-        const int chosen = static_cast<Policy&>(*schedulers_[s]).walkWith(
+        return static_cast<Policy&>(*schedulers_[s]).walkWith(
             IssueView{warps_, slotIds_[s], ageOrder_[s], slotCtas_[s],
                       ctaIssued_},
             issuable);
+    };
+    std::uint32_t issued = 0;
+    for (std::size_t s = 0; s < schedulers_.size(); ++s) {
+        SlotStalls& slept = slotStalls_[s];
+        if (slept.wake > now) {
+            // Asleep: no wake event since its last fruitless walk, so
+            // that walk's outcome stands. Validate builds walk anyway.
+            if constexpr (kChecksEnabled) {
+                SlotStalls fresh;
+                const int chosen = walk(s, fresh);
+                BSCHED_CHECK(chosen < 0 && fresh.mem == slept.mem &&
+                                 fresh.sb == slept.sb &&
+                                 fresh.pipe == slept.pipe &&
+                                 fresh.barrier == slept.barrier,
+                             name_, ": sleeping slot ", s, " would pick warp ",
+                             chosen, " or change its stalls at cycle ", now);
+            }
+            if (profiler_ != nullptr)
+                recordStalledSlot(*profiler_, slept, 1);
+            continue;
+        }
+        SlotStalls stalls;
+        const int chosen = walk(s, stalls);
         if (chosen < 0) {
+            slept = stalls;
             if (profiler_ != nullptr)
                 recordStalledSlot(*profiler_, stalls, 1);
             continue;
@@ -549,6 +591,8 @@ SimtCore::issueSlots(Cycle now)
         issueFrom(chosen, now);
         ++issued;
     }
+    admitLoad_ = ldst_.canAdmit(false);
+    admitStore_ = ldst_.canAdmit(true);
     // Issue-bandwidth conservation: one instruction per scheduler slot
     // per cycle, and the structural units never exceed their budgets.
     BSCHED_INVARIANT(issued <= schedulers_.size(), name_,
@@ -674,7 +718,7 @@ SimtCore::accountQuietSpan(Cycle now, std::uint64_t n, MemProfiler* memprof)
             SlotStalls stalls;
             for (const int id : slotIds_[s]) {
                 const bool ready =
-                    warpIssuable(static_cast<std::size_t>(id), now, &stalls);
+                    warpIssuable(static_cast<std::size_t>(id), now, stalls);
                 BSCHED_CHECK(!ready, name_, ": warp ", id,
                              " can issue in a quiet span at cycle ", now);
             }

@@ -198,10 +198,13 @@ class SimtCore
     const KernelTrack* track(int kernel_id) const;
 
     /**
-     * Profiler only: the lowest warp id of one slot refused in each
-     * stall category. The issue test visits every live warp of a slot
-     * that issues nothing, so this is the first-seen warp of each
-     * category in warp-id order, whatever order the policy walks.
+     * What one slot's fruitless walk found: the lowest warp id refused
+     * in each stall category, and the earliest cycle at which a refusal
+     * lifts on its own. The issue test visits every live warp of a slot
+     * that issues nothing, so each witness is the first-seen warp of its
+     * category in warp-id order, whatever order the policy walks. The
+     * profiler reads the witnesses; `wake` bounds the slot's sleep
+     * (slotStalls_).
      */
     struct SlotStalls
     {
@@ -210,6 +213,10 @@ class SimtCore
         std::size_t sb = kNone;
         std::size_t pipe = kNone;
         std::size_t barrier = kNone;
+        /** A finite cached warpWake_, smemBusyUntil_ for a busy
+         *  shared-memory port, or now + 1 for a spent port budget;
+         *  kCycleNever if only events can lift every refusal. */
+        Cycle wake = kCycleNever;
     };
 
     /** Structural half of the issue check (ports, LD/ST admission,
@@ -218,11 +225,12 @@ class SimtCore
     /**
      * The issue test: can warp @p w issue at @p now? Caches a
      * scoreboard-blocked warp's wake time in warpWake_. A refused warp
-     * is noted under its stall category in @p stalls when non-null.
-     * The issue walk and quiet-span accounting share it, so plain
-     * stepping and fast-forward classify stalls with the same code.
+     * is noted under its stall category in @p stalls, and the time its
+     * refusal lifts folds into stalls.wake. The issue walk and
+     * quiet-span accounting share it, so plain stepping and
+     * fast-forward classify stalls with the same code.
      */
-    bool warpIssuable(std::size_t w, Cycle now, SlotStalls* stalls);
+    bool warpIssuable(std::size_t w, Cycle now, SlotStalls& stalls);
     /**
      * Record @p n cycles of a slot that issued nothing on @p profiler:
      * one exclusive category, mem_structural > scoreboard > pipeline >
@@ -231,10 +239,12 @@ class SimtCore
      */
     void recordStalledSlot(CycleProfiler& profiler, const SlotStalls& stalls,
                            std::uint64_t n) const;
-    /** One cycle's issue walk over every slot with @p Policy's walk
-     *  inlined; true if any slot issued. */
+    /** One cycle's issue walk over every awake slot with @p Policy's
+     *  walk inlined; true if any slot issued. */
     template <class Policy>
     bool issueSlots(Cycle now);
+    /** Wake every slot: its warps or their barriers changed. */
+    void wakeSlots();
     /** Regroup every slot's age order by CTA (after launch/retire). */
     void regroupSlots();
     void issueFrom(int warp_id, Cycle now);
@@ -269,6 +279,20 @@ class SimtCore
     std::vector<std::vector<IssueCta>> slotCtas_;
     /** Instructions issued per hardware CTA slot (BAWS progress). */
     std::vector<std::uint64_t> ctaIssued_;
+    /**
+     * Per issue slot: the stalls of its last fruitless walk. The slot
+     * sleeps, skipping its walk and replaying these stalls, while
+     * wake > now. Events wake it early by zeroing wake: a load
+     * completion for one of its warps, a CTA launch or retirement or a
+     * barrier release (every slot), and LD/ST admission opening since
+     * the last issue stage (every slot). A slot that issues walks again
+     * next cycle. Until the first launch every slot sleeps.
+     */
+    std::vector<SlotStalls> slotStalls_;
+    /** ldst_.canAdmit(false) / canAdmit(true) after the last issue
+     *  stage: a refusal a sleeping slot saw lifts when one turns true. */
+    bool admitLoad_ = true;
+    bool admitStore_ = true;
 
     /**
      * SoA-packed hot state for the issue loop: a per-warp-slot cycle

@@ -14,8 +14,11 @@
  *
  * Every policy is a walk: it visits the slot's warps in its own priority
  * order and stops at the first one the caller's issuable() test accepts.
- * The core's issue stage walks once per slot per cycle; a slot that
- * issues nothing has had every live warp visited by then.
+ * The core's issue stage walks each awake slot once per cycle; a slot
+ * that issues nothing has had every live warp visited by then, and
+ * sleeps until a wake event or the earliest time one of its refusals
+ * lifts (SimtCore::slotStalls_), since until then its walk would find
+ * the same.
  */
 
 #ifndef BSCHED_CORE_WARP_SCHED_HH

@@ -2,7 +2,8 @@
  * @file
  * Tests for the issue-slot cycle-accounting profiler: the conservation
  * invariant (categories sum exactly to activeCycles × slots) across
- * every warp-scheduler kind, agreement with the legacy two-bucket
+ * every warp-scheduler kind, on the default machine and on random
+ * machines (randomMachine()), agreement with the legacy two-bucket
  * stall accounting, non-perturbation of simulation results, kernel
  * attribution, the `bsched-profile-v1` export, and the bounded-growth
  * regression test for BawsScheduler's per-block rotation map.
@@ -22,6 +23,7 @@
 #include "kernel/program_builder.hh"
 #include "obs/json.hh"
 #include "obs/profile.hh"
+#include "random_kernel.hh"
 
 namespace bsched {
 namespace {
@@ -63,6 +65,33 @@ profiledRun(const GpuConfig& config, const KernelInfo& k,
     return runKernel(config, k, Observer{nullptr, nullptr, &profiler});
 }
 
+/** One machine and kernel a conservation test runs. */
+struct ProfileCase
+{
+    std::string name;
+    GpuConfig config;
+    KernelInfo kernel;
+};
+
+/**
+ * The cases for @p warp_sched: the two-core machine running kernel(),
+ * then randomKernel(seed) on randomMachine(seed). Random machines reach
+ * several issue slots and port budgets above 1, where slots sleep and
+ * replay their stalls under budgets other slots spent.
+ */
+std::vector<ProfileCase>
+profileCases(WarpSchedKind warp_sched)
+{
+    std::vector<ProfileCase> cases{{"default", cfg(warp_sched), kernel()}};
+    for (std::uint64_t seed = 200; seed < 212; ++seed) {
+        GpuConfig config = randomMachine(seed);
+        config.warpSched = warp_sched;
+        cases.push_back({"machine/" + std::to_string(seed), config,
+                         randomKernel(seed)});
+    }
+    return cases;
+}
+
 class ProfileConservation
     : public ::testing::TestWithParam<WarpSchedKind>
 {};
@@ -74,24 +103,26 @@ class ProfileConservation
  */
 TEST_P(ProfileConservation, CategoriesSumToActiveCyclesTimesSlots)
 {
-    const GpuConfig config = cfg(GetParam());
-    CycleProfiler profiler;
-    const RunResult result = profiledRun(config, kernel(), profiler);
+    for (const auto& [name, config, k] : profileCases(GetParam())) {
+        SCOPED_TRACE(name);
+        CycleProfiler profiler;
+        const RunResult result = profiledRun(config, k, profiler);
 
-    ASSERT_EQ(profiler.numCores(), config.numCores);
-    ASSERT_EQ(profiler.slotsPerCore(), config.numSchedulersPerCore);
-    std::uint64_t machine_slot_cycles = 0;
-    for (std::uint32_t c = 0; c < config.numCores; ++c) {
-        const auto active = static_cast<std::uint64_t>(
-            result.stats.require("core" + std::to_string(c) +
-                                 ".active_cycles"));
-        EXPECT_EQ(profiler.core(c).total(),
-                  active * config.numSchedulersPerCore)
-            << "core " << c;
-        machine_slot_cycles += active * config.numSchedulersPerCore;
+        ASSERT_EQ(profiler.numCores(), config.numCores);
+        ASSERT_EQ(profiler.slotsPerCore(), config.numSchedulersPerCore);
+        std::uint64_t machine_slot_cycles = 0;
+        for (std::uint32_t c = 0; c < config.numCores; ++c) {
+            const auto active = static_cast<std::uint64_t>(
+                result.stats.require("core" + std::to_string(c) +
+                                     ".active_cycles"));
+            EXPECT_EQ(profiler.core(c).total(),
+                      active * config.numSchedulersPerCore)
+                << "core " << c;
+            machine_slot_cycles += active * config.numSchedulersPerCore;
+        }
+        EXPECT_EQ(profiler.total().total(), machine_slot_cycles);
+        EXPECT_GT(profiler.total()[SlotCat::Issued], 0u);
     }
-    EXPECT_EQ(profiler.total().total(), machine_slot_cycles);
-    EXPECT_GT(profiler.total()[SlotCat::Issued], 0u);
 }
 
 /**
@@ -101,32 +132,36 @@ TEST_P(ProfileConservation, CategoriesSumToActiveCyclesTimesSlots)
  */
 TEST_P(ProfileConservation, NoIssueCyclesMatchLegacyTwoBucketStalls)
 {
-    const GpuConfig config = cfg(GetParam());
-    CycleProfiler profiler;
-    const RunResult result = profiledRun(config, kernel(), profiler);
+    for (const auto& [name, config, k] : profileCases(GetParam())) {
+        SCOPED_TRACE(name);
+        CycleProfiler profiler;
+        const RunResult result = profiledRun(config, k, profiler);
 
-    for (std::uint32_t c = 0; c < config.numCores; ++c) {
-        const std::string prefix = "core" + std::to_string(c);
-        const double legacy = result.stats.require(prefix + ".stall_mem") +
-            result.stats.require(prefix + ".stall_idle");
-        EXPECT_EQ(static_cast<double>(profiler.noIssueCycles(c)), legacy)
-            << "core " << c;
+        for (std::uint32_t c = 0; c < config.numCores; ++c) {
+            const std::string prefix = "core" + std::to_string(c);
+            const double legacy =
+                result.stats.require(prefix + ".stall_mem") +
+                result.stats.require(prefix + ".stall_idle");
+            EXPECT_EQ(static_cast<double>(profiler.noIssueCycles(c)), legacy)
+                << "core " << c;
+        }
     }
 }
 
 /** Attaching the profiler must not change what is simulated. */
 TEST_P(ProfileConservation, DoesNotPerturbSimulationResults)
 {
-    const GpuConfig config = cfg(GetParam());
-    const KernelInfo k = kernel();
-    const RunResult bare = runKernel(config, k);
-    CycleProfiler profiler;
-    const RunResult profiled = profiledRun(config, k, profiler);
+    for (const auto& [name, config, k] : profileCases(GetParam())) {
+        SCOPED_TRACE(name);
+        const RunResult bare = runKernel(config, k);
+        CycleProfiler profiler;
+        const RunResult profiled = profiledRun(config, k, profiler);
 
-    EXPECT_EQ(bare.cycles, profiled.cycles);
-    EXPECT_EQ(bare.instrs, profiled.instrs);
-    EXPECT_EQ(bare.ipc, profiled.ipc);
-    EXPECT_EQ(bare.stats.entries(), profiled.stats.entries());
+        EXPECT_EQ(bare.cycles, profiled.cycles);
+        EXPECT_EQ(bare.instrs, profiled.instrs);
+        EXPECT_EQ(bare.ipc, profiled.ipc);
+        EXPECT_EQ(bare.stats.entries(), profiled.stats.entries());
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
