@@ -144,8 +144,9 @@ writeRunArtifacts(const BenchOptions& opts, const GpuConfig& config,
             table.begin(), table.end(),
             [&](const RunArtifact& t) { return t.file == a.file; });
         if (row == table.end())
-            fatal("writeRunArtifacts: unknown run artifact '", a.file, "'");
-        row->write = a.write;
+            table.push_back(a);
+        else
+            row->write = a.write;
     }
 
     std::error_code ec;
@@ -189,6 +190,38 @@ runWorkloadGrid(const std::vector<std::string>& names,
     for (const std::string& name : names)
         kernels.push_back(makeWorkload(name));
     return runKernelGrid(kernels, configs, jobs);
+}
+
+std::vector<std::uint32_t>
+lcsChosenLimits(const GpuConfig& base,
+                const std::vector<KernelInfo>& kernels, unsigned jobs)
+{
+    GpuConfig config = base;
+    config.ctaSched = CtaSchedKind::Lazy;
+    std::vector<SimPoint> points;
+    points.reserve(kernels.size());
+    for (const KernelInfo& kernel : kernels)
+        points.push_back({config, kernel, kernel.name + "/lcs"});
+    const std::vector<RunResult> results = runGrid(points, jobs);
+
+    std::vector<std::uint32_t> limits;
+    limits.reserve(results.size());
+    for (const RunResult& result : results) {
+        std::vector<double> decisions;
+        for (const auto& [name, value] : result.stats.entries()) {
+            if (name.rfind("lcs.core", 0) == 0 &&
+                name.size() >= 6 &&
+                name.compare(name.size() - 6, 6, ".n_opt") == 0) {
+                decisions.push_back(value);
+            }
+        }
+        std::sort(decisions.begin(), decisions.end());
+        limits.push_back(decisions.empty()
+            ? 0
+            : static_cast<std::uint32_t>(
+                  decisions[decisions.size() / 2]));
+    }
+    return limits;
 }
 
 } // namespace bsched::bench

@@ -17,6 +17,7 @@
 #define BSCHED_BENCH_BENCH_COMMON_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <ostream>
 #include <string>
@@ -75,7 +76,8 @@ struct RunArtifact
  * (`bsched-profile-v1`), `memprofile.json` (`bsched-memprofile-v1`)
  * and `phase.json` (`bsched-phase-v1`) into the directory. A figure
  * whose own result is one of those artifacts passes its writer in
- * @p own under the same file name; it replaces the re-run's. No-op
+ * @p own under the same file name; it replaces the re-run's. An @p own
+ * entry under any other name is written after them. No-op
  * without --artifacts; the re-run is serial and separate from the
  * measured grid, so artifacts never perturb the parallel sweep.
  */
@@ -107,6 +109,17 @@ GridResults runWorkloadGrid(const std::vector<std::string>& names,
 GridResults runKernelGrid(const std::vector<KernelInfo>& kernels,
                           const std::vector<GpuConfig>& configs,
                           unsigned jobs = 0);
+
+/**
+ * The CTA limit LCS converges to for each kernel in @p kernels: the
+ * median of the per-core `lcs.coreC.k0.n_opt` decisions of one run
+ * under @p base with the Lazy CTA scheduler (0 when the run recorded
+ * none). Every kernel's run goes into one grid across @p jobs workers;
+ * results come back in the order of @p kernels.
+ */
+std::vector<std::uint32_t> lcsChosenLimits(
+    const GpuConfig& base, const std::vector<KernelInfo>& kernels,
+    unsigned jobs = 0);
 
 } // namespace bsched::bench
 

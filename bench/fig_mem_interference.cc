@@ -17,10 +17,10 @@
  * measurements of Elvinger et al. and Jatala et al. (PAPERS.md).
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hh"
@@ -41,7 +41,6 @@ struct MemPoint
 {
     RunResult result;
     std::shared_ptr<MemProfiler> prof; ///< shared: runner.map copies
-    std::uint32_t limit = 0;
 };
 
 double
@@ -60,7 +59,6 @@ profiledRun(GpuConfig config, const KernelInfo& kernel,
 {
     config.staticCtaLimit = limit;
     MemPoint point;
-    point.limit = limit;
     point.prof = std::make_shared<MemProfiler>();
     Observer obs;
     obs.memProfiler = point.prof.get();
@@ -87,30 +85,6 @@ profiledRun(GpuConfig config, const KernelInfo& kernel,
     return point;
 }
 
-/**
- * The CTA limit LCS converges to for @p kernel: the median of the
- * per-core `lcs.coreC.k0.n_opt` decisions of one LCS run.
- */
-std::uint32_t
-lcsChosenLimit(const GpuConfig& base, const KernelInfo& kernel)
-{
-    GpuConfig config = base;
-    config.ctaSched = CtaSchedKind::Lazy;
-    const RunResult result = runKernel(config, kernel);
-    std::vector<double> decisions;
-    for (const auto& [name, value] : result.stats.entries()) {
-        if (name.rfind("lcs.core", 0) == 0 &&
-            name.size() >= 6 &&
-            name.compare(name.size() - 6, 6, ".n_opt") == 0) {
-            decisions.push_back(value);
-        }
-    }
-    if (decisions.empty())
-        return 0;
-    std::sort(decisions.begin(), decisions.end());
-    return static_cast<std::uint32_t>(decisions[decisions.size() / 2]);
-}
-
 } // namespace
 
 int
@@ -129,28 +103,45 @@ main(int argc, char** argv)
                 "(GTO, RR CTA scheduler; %u jobs)\n\n",
                 opts.jobs);
 
+    std::vector<KernelInfo> kernels;
+    std::vector<std::uint32_t> max_limits;
+    for (const std::string& name : names) {
+        kernels.push_back(makeWorkload(name));
+        max_limits.push_back(maxCtasPerCore(base, kernels.back()));
+    }
+    const std::vector<std::uint32_t> lcs_limits =
+        bench::lcsChosenLimits(base, kernels, opts.jobs);
+
+    // Every (workload, limit) pair of every sweep, workload-major. The
+    // points also keep their profilers alive for the artifact export.
+    std::vector<std::pair<std::size_t, std::uint32_t>> pairs;
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+        for (std::uint32_t n = 1; n <= max_limits[k]; ++n)
+            pairs.emplace_back(k, n);
+    }
+    const ParallelRunner runner(opts.jobs);
+    const std::vector<MemPoint> sweeps =
+        runner.map<MemPoint>(pairs.size(), [&](std::size_t i) {
+            return profiledRun(base, kernels[pairs[i].first],
+                               pairs[i].second);
+        });
+
     BenchReport report("fig_mem_interference");
     std::vector<MemProfilePoint> artifact;
-    std::vector<MemPoint> keep; ///< keeps profilers alive for export
-    const ParallelRunner runner(opts.jobs);
-    for (const std::string& name : names) {
-        const KernelInfo kernel = makeWorkload(name);
-        const std::uint32_t n_max = maxCtasPerCore(base, kernel);
-        const std::uint32_t n_lcs = lcsChosenLimit(base, kernel);
-
-        const std::vector<MemPoint> sweep =
-            runner.map<MemPoint>(n_max, [&](std::size_t i) {
-                return profiledRun(base, kernel,
-                                   static_cast<std::uint32_t>(i) + 1);
-            });
+    auto sweep = sweeps.begin();
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+        const std::string& name = names[k];
+        const KernelInfo& kernel = kernels[k];
+        const std::uint32_t n_max = max_limits[k];
+        const std::uint32_t n_lcs = lcs_limits[k];
 
         Table table(name + " (" + toString(kernel.typeClass) +
                     "): memory interference by CTA limit");
         table.setHeader({"N", "ipc", "l1_xcta/kc", "l2_xcta/kc",
                          "l2_xfrac", "dram_qocc", "dram_q", "e2e",
                          "rowhit", ""});
-        for (const MemPoint& point : sweep) {
-            const std::uint32_t n = point.limit;
+        for (std::uint32_t n = 1; n <= n_max; ++n) {
+            const MemPoint& point = *sweep++;
             const MemProfiler& prof = *point.prof;
             const StageProfile total = prof.total();
             const double kilocycles =
@@ -212,7 +203,6 @@ main(int argc, char** argv)
                          {"row_hit_rate", row_hit}};
             ap.prof = point.prof.get();
             artifact.push_back(ap);
-            keep.push_back(point);
         }
         report.addMetric(name + ".n_max", n_max);
         report.addMetric(name + ".lcs_n_opt", n_lcs);

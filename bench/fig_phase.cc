@@ -16,7 +16,6 @@
  * the DynCTA motivation for continuous monitoring (PAPERS.md).
  */
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -34,30 +33,6 @@
 namespace {
 
 using namespace bsched;
-
-/**
- * The CTA limit LCS converges to for @p kernel: the median of the
- * per-core `lcs.coreC.k0.n_opt` decisions of one LCS run.
- */
-std::uint32_t
-lcsChosenLimit(const GpuConfig& base, const KernelInfo& kernel)
-{
-    GpuConfig config = base;
-    config.ctaSched = CtaSchedKind::Lazy;
-    const RunResult result = runKernel(config, kernel);
-    std::vector<double> decisions;
-    for (const auto& [name, value] : result.stats.entries()) {
-        if (name.rfind("lcs.core", 0) == 0 &&
-            name.size() >= 6 &&
-            name.compare(name.size() - 6, 6, ".n_opt") == 0) {
-            decisions.push_back(value);
-        }
-    }
-    if (decisions.empty())
-        return 0;
-    std::sort(decisions.begin(), decisions.end());
-    return static_cast<std::uint32_t>(decisions[decisions.size() / 2]);
-}
 
 /** Best two-segment step fit over windows [lo, n): the split
  *  minimizing the summed squared deviation from the two segment
@@ -210,7 +185,8 @@ main(int argc, char** argv)
     const auto regime_best = oracleStaticBest(sweep, {pro, epi}, opts.jobs);
     const OracleResult& pro_best = regime_best[0];
     const OracleResult& epi_best = regime_best[1];
-    const std::uint32_t n_lcs = lcsChosenLimit(config, phased);
+    const std::uint32_t n_lcs =
+        bench::lcsChosenLimits(config, {phased}, opts.jobs)[0];
 
     Table regimes("per-regime static-best CTA limit vs one-shot pick");
     regimes.setHeader({"regime", "N_best", "N_max", "ipc@best", ""});

@@ -1,15 +1,23 @@
 /**
  * @file
- * E18 — kernel-launch serving: multi-tenant launch traces (Poisson,
+ * E18/E19 — kernel-launch serving: multi-tenant launch traces (Poisson,
  * bursty, closed-loop) served under the five serving policies —
  * Sequential and Spatial baselines, then shared-core FCFS, reordering
  * (SJF + deadline escalation) and reordering with CTA-drain
- * preemption. Reports throughput, p50/p99 launch-to-finish latency,
+ * preemption.
+ *
+ * E18 reports throughput, p50/p99 launch-to-finish latency,
  * deadline-miss rate and per-tenant ANTT fairness per (trace, policy),
- * and emits the `bsched-serving-v1` artifact (--emit-json). The
- * artifact is byte-identical for any --jobs and with fast-forward on
- * or off; bench/BENCH_serving.json is the committed baseline CI gates
- * against.
+ * and emits the `bsched-serving-v1` artifact (--emit-json). E19 is the
+ * decision audit behind the same 15 runs: every point carries a
+ * ServeTrace bundle (pure observation), and the figure reports the
+ * decision breakdown, the CTA-drain cost counters and the runtime
+ * predictor's absolute error per point. `--artifacts DIR` writes the
+ * full `bsched-servetrace-v1` audit as `servetrace.json` next to the
+ * run artifacts. Both files are byte-identical for any --jobs and with
+ * fast-forward on or off; bench/BENCH_serving.json and
+ * bench/BENCH_servetrace.json are the committed baselines the
+ * serving_gate test byte-gates against.
  */
 
 #include <algorithm>
@@ -21,21 +29,102 @@
 #include "bench_common.hh"
 #include "gpu/gpu.hh"
 #include "serve/engine.hh"
+#include "serve/serve_trace.hh"
 #include "serve/serving_report.hh"
 #include "serve/traffic.hh"
-#include "serve_traces.hh"
 #include "sim/table.hh"
 #include "workloads/suite.hh"
 
 namespace {
 
 using namespace bsched;
-using TraceDef = bench::ServeTraceDef;
 
-std::vector<TraceDef>
-makeTraces()
+/** A named serving scenario. */
+struct TraceDef
 {
-    return bench::makeServeTraces();
+    std::string name;
+    TrafficSpec spec;
+};
+
+/** One audited (trace, policy) point. */
+struct AuditedRun
+{
+    ServingRunResult result;
+    ServeTrace trace;
+};
+
+/** The three serving scenarios. Gaps are tuned against the suite's
+ *  isolated runtimes (about 8k cycles for lud up to 624k for bp) so
+ *  queues actually form without the trace running away. */
+std::vector<TraceDef>
+makeServeTraces()
+{
+    std::vector<TraceDef> traces;
+
+    // Steady mixed load: two open-loop tenants, no deadlines.
+    {
+        TrafficSpec spec;
+        spec.seed = 11;
+        TenantSpec t0;
+        t0.process = ArrivalProcess::Poisson;
+        t0.mix = {"kmeans", "sc", "gemm"};
+        t0.requests = 8;
+        t0.meanGapCycles = 200000;
+        TenantSpec t1;
+        t1.process = ArrivalProcess::Poisson;
+        t1.mix = {"srad", "hs", "lavamd"};
+        t1.requests = 8;
+        t1.meanGapCycles = 200000;
+        spec.tenants = {t0, t1};
+        traces.push_back({"poisson_mix", spec});
+    }
+
+    // The preemption showcase: a latency tenant firing bursts of short
+    // deadline-bound kernels into a batch tenant's long Type-1/3
+    // kernels. FCFS strands the bursts behind a long resident pair;
+    // reordering admits them first when a slot frees; drain preemption
+    // makes room immediately.
+    {
+        TrafficSpec spec;
+        spec.seed = 23;
+        TenantSpec latency;
+        latency.process = ArrivalProcess::Bursty;
+        latency.mix = {"lud", "nw", "lavamd"};
+        latency.requests = 12;
+        latency.burstLen = 4;
+        latency.meanGapCycles = 600000;
+        latency.intraBurstGapCycles = 1000;
+        latency.deadlineSlack = 150000;
+        TenantSpec batch;
+        batch.process = ArrivalProcess::Poisson;
+        batch.mix = {"bp", "bfs"};
+        batch.requests = 4;
+        batch.meanGapCycles = 700000;
+        spec.tenants = {latency, batch};
+        traces.push_back({"bursty_mix", spec});
+    }
+
+    // Closed loops: a single-outstanding long-kernel tenant against a
+    // depth-2 short-kernel tenant.
+    {
+        TrafficSpec spec;
+        spec.seed = 37;
+        TenantSpec t0;
+        t0.process = ArrivalProcess::ClosedLoop;
+        t0.mix = {"mummer"};
+        t0.requests = 4;
+        t0.closedDepth = 1;
+        t0.meanGapCycles = 20000;
+        TenantSpec t1;
+        t1.process = ArrivalProcess::ClosedLoop;
+        t1.mix = {"lud", "nw", "pf"};
+        t1.requests = 10;
+        t1.closedDepth = 2;
+        t1.meanGapCycles = 10000;
+        spec.tenants = {t0, t1};
+        traces.push_back({"closed_pair", spec});
+    }
+    return traces;
 }
 
 } // namespace
@@ -49,7 +138,7 @@ main(int argc, char** argv)
     const GpuConfig config =
         makeConfig(WarpSchedKind::GTO, CtaSchedKind::Lazy);
 
-    const std::vector<TraceDef> traces = makeTraces();
+    const std::vector<TraceDef> traces = makeServeTraces();
     const std::vector<ServePolicy> policies = allServePolicies();
 
     std::printf("E18: kernel-launch serving — traffic x policy\n"
@@ -84,27 +173,36 @@ main(int argc, char** argv)
         isolated[uniq[i]] = iso_cycles[i];
 
     // One independent point per (trace, policy); each engine owns a
-    // fresh GPU and kernel pool.
+    // fresh GPU and kernel pool, and carries the E19 decision audit.
     const std::size_t points = traces.size() * policies.size();
     const auto results =
-        runner.map<ServingRunResult>(points, [&](std::size_t i) {
+        runner.map<AuditedRun>(points, [&](std::size_t i) {
             const TraceDef& def = traces[i / policies.size()];
             ServeConfig serve;
             serve.policy = policies[i % policies.size()];
+            AuditedRun run;
             ServingEngine engine(config, serve);
-            return engine.run(generateTrace(def.spec));
+            engine.setTrace(&run.trace);
+            run.result = engine.run(generateTrace(def.spec));
+            return run;
         });
 
     ServingReport report("fig_serving");
+    ServeTraceReport audit_report("fig_serving");
     Table table("serving policies");
     table.setHeader({"trace", "policy", "reqs", "thrpt/Mcyc", "p50",
                      "p99", "miss-rate", "fairness", "preempts"});
+    Table decisions("serving decisions");
+    decisions.setHeader({"trace", "policy", "admits", "defers",
+                         "preempts", "cancels", "drains", "drain-lat",
+                         "pred-err", "samples"});
     std::map<std::string, std::map<std::string, ServingSummary>> byTrace;
     for (std::size_t i = 0; i < points; ++i) {
         const TraceDef& def = traces[i / policies.size()];
         const ServePolicy policy = policies[i % policies.size()];
+        const AuditedRun& run = results[i];
         const ServingSummary summary = summarizeServing(
-            toString(policy), def.name, results[i], isolated);
+            toString(policy), def.name, run.result, isolated);
         report.addRun(summary);
         byTrace[def.name][summary.policy] = summary;
         table.addRow({def.name, summary.policy,
@@ -117,6 +215,20 @@ main(int argc, char** argv)
                       fmt(summary.missRate, 3),
                       fmt(summary.fairness, 3),
                       std::to_string(summary.preemptions)});
+
+        audit_report.addRun(toString(policy), def.name, run.result,
+                            run.trace);
+        const ServeAudit& audit = run.trace.audit;
+        const PredictorAccuracy& acc = run.trace.accuracy;
+        decisions.addRow({def.name, toString(policy),
+                          std::to_string(audit.admits),
+                          std::to_string(audit.defers),
+                          std::to_string(audit.preempts),
+                          std::to_string(audit.drainCancels),
+                          std::to_string(run.result.drainsCompleted),
+                          std::to_string(run.result.drainLatencyCycles),
+                          fmt(acc.meanAbsError(), 0),
+                          std::to_string(acc.samples())});
     }
     std::printf("%s\n", table.toText().c_str());
 
@@ -141,14 +253,27 @@ main(int argc, char** argv)
                 "long resident kernels; reordering admits them first\n"
                 "when a slot frees, and CTA-drain preemption frees the\n"
                 "slot instead of waiting — the p99 and deadline-miss\n"
-                "columns quantify each step.\n");
+                "columns quantify each step.\n\n");
+
+    std::printf("E19: serving decision audit and predictor accuracy\n\n");
+    std::printf("%s\n", decisions.toText().c_str());
+    std::printf("Reading: every admission the engine grants and every\n"
+                "one it defers is in the audit with the inputs that\n"
+                "drove it — queue depth, LCS headroom, predicted\n"
+                "runtime, deadline slack. The preempt rows name the\n"
+                "drained victim and its predicted remainder; pred-err\n"
+                "is the predictor's mean |predicted - actual| in\n"
+                "cycles, which converges as the per-workload EWMA\n"
+                "absorbs completed launches.\n");
 
     if (!opts.emitJsonPath.empty()) {
         writeFile(opts.emitJsonPath,
                   [&](std::ostream& os) { report.writeJson(os); });
         std::printf("wrote %s\n", opts.emitJsonPath.c_str());
     }
-    bench::writeRunArtifacts(opts, config, makeWorkload("lud"),
-                             "lud/serving");
+    bench::writeRunArtifacts(
+        opts, config, makeWorkload("lud"), "lud/serving",
+        {{"servetrace.json",
+          [&](std::ostream& os) { audit_report.writeJson(os); }}});
     return 0;
 }

@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hh"
@@ -63,30 +64,6 @@ profiledRun(GpuConfig config, const KernelInfo& kernel,
     return point;
 }
 
-/**
- * The CTA limit LCS converges to for @p kernel: the median of the
- * per-core `lcs.coreC.k0.n_opt` decisions of one LCS run.
- */
-std::uint32_t
-lcsChosenLimit(const GpuConfig& base, const KernelInfo& kernel)
-{
-    GpuConfig config = base;
-    config.ctaSched = CtaSchedKind::Lazy;
-    const RunResult result = runKernel(config, kernel);
-    std::vector<double> decisions;
-    for (const auto& [name, value] : result.stats.entries()) {
-        if (name.rfind("lcs.core", 0) == 0 &&
-            name.size() >= 6 &&
-            name.compare(name.size() - 6, 6, ".n_opt") == 0) {
-            decisions.push_back(value);
-        }
-    }
-    if (decisions.empty())
-        return 0;
-    std::sort(decisions.begin(), decisions.end());
-    return static_cast<std::uint32_t>(decisions[decisions.size() / 2]);
-}
-
 } // namespace
 
 int
@@ -104,18 +81,35 @@ main(int argc, char** argv)
                 "(GTO, RR CTA scheduler; %u jobs)\n\n",
                 opts.jobs);
 
-    BenchReport report("fig_stall_breakdown");
-    const ParallelRunner runner(opts.jobs);
+    std::vector<KernelInfo> kernels;
+    std::vector<std::uint32_t> max_limits;
     for (const std::string& name : names) {
-        const KernelInfo kernel = makeWorkload(name);
-        const std::uint32_t n_max = maxCtasPerCore(base, kernel);
-        const std::uint32_t n_lcs = lcsChosenLimit(base, kernel);
+        kernels.push_back(makeWorkload(name));
+        max_limits.push_back(maxCtasPerCore(base, kernels.back()));
+    }
+    const std::vector<std::uint32_t> lcs_limits =
+        bench::lcsChosenLimits(base, kernels, opts.jobs);
 
-        const std::vector<ProfiledPoint> sweep =
-            runner.map<ProfiledPoint>(n_max, [&](std::size_t i) {
-                return profiledRun(base, kernel,
-                                   static_cast<std::uint32_t>(i) + 1);
-            });
+    // Every (workload, limit) pair of every sweep, workload-major.
+    std::vector<std::pair<std::size_t, std::uint32_t>> pairs;
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+        for (std::uint32_t n = 1; n <= max_limits[k]; ++n)
+            pairs.emplace_back(k, n);
+    }
+    const ParallelRunner runner(opts.jobs);
+    const std::vector<ProfiledPoint> sweeps =
+        runner.map<ProfiledPoint>(pairs.size(), [&](std::size_t i) {
+            return profiledRun(base, kernels[pairs[i].first],
+                               pairs[i].second);
+        });
+
+    BenchReport report("fig_stall_breakdown");
+    auto sweep = sweeps.begin();
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+        const std::string& name = names[k];
+        const KernelInfo& kernel = kernels[k];
+        const std::uint32_t n_max = max_limits[k];
+        const std::uint32_t n_lcs = lcs_limits[k];
 
         Table table(name + " (" + toString(kernel.typeClass) +
                     "): slot-cycle shares by CTA limit");
@@ -123,7 +117,7 @@ main(int argc, char** argv)
                          "mem_struct", "pipeline", "empty", "mem-attr",
                          ""});
         for (std::uint32_t n = 1; n <= n_max; ++n) {
-            const ProfiledPoint& point = sweep[n - 1];
+            const ProfiledPoint& point = *sweep++;
             const double total =
                 static_cast<double>(point.counts.total());
             auto share = [&](SlotCat cat) {

@@ -59,10 +59,35 @@ smallSpec(std::uint64_t seed = 5)
     return spec;
 }
 
+/** Bursty deadline tenants against a long-kernel batch tenant on the
+ *  small test machine — tuned so the reorder+preempt policy actually
+ *  fires at least one CTA-drain preemption. */
+TrafficSpec
+deadlineSpec()
+{
+    TrafficSpec spec;
+    spec.seed = 23;
+    TenantSpec latency;
+    latency.process = ArrivalProcess::Bursty;
+    latency.mix = {"lud", "nw"};
+    latency.requests = 6;
+    latency.burstLen = 3;
+    latency.meanGapCycles = 400000;
+    latency.intraBurstGapCycles = 1000;
+    latency.deadlineSlack = 60000;
+    TenantSpec batch;
+    batch.process = ArrivalProcess::Poisson;
+    batch.mix = {"bp"};
+    batch.requests = 2;
+    batch.meanGapCycles = 500000;
+    spec.tenants = {latency, batch};
+    return spec;
+}
+
 std::map<std::string, Cycle>
 fakeIsolated()
 {
-    return {{"lud", 8000}, {"nw", 9000}, {"pf", 12000}};
+    return {{"lud", 8000}, {"nw", 9000}, {"pf", 12000}, {"bp", 90000}};
 }
 
 // --- negLogQ32 ----------------------------------------------------------
@@ -344,50 +369,113 @@ TEST(ServingEngine, RunMayOnlyBeCalledOnce)
 
 // --- determinism contracts ----------------------------------------------
 
-std::string
-reportJsonFor(const GpuConfig& config, unsigned jobs)
+/** Both serving artifacts of one set of audited runs. */
+struct ServingJson
 {
-    // A policy subset and a tiny trace keep these tests cheap; the CI
-    // serving-smoke job proves the same contract over the full bench
-    // matrix.
-    const std::vector<ServePolicy> policies = {
-        ServePolicy::Spatial, ServePolicy::Fcfs, ServePolicy::Reorder};
-    TrafficSpec spec = smallSpec();
-    spec.tenants[0].requests = 3;
-    spec.tenants[1].requests = 2;
+    std::string report; ///< bsched-serving-v1
+    std::string audit;  ///< bsched-servetrace-v1
+};
+
+/** One (trace, policy) run of a determinism test. */
+struct ServingPoint
+{
+    std::string trace;
+    TrafficSpec spec;
+    ServePolicy policy;
+};
+
+/** {Spatial, Fcfs, Reorder} on a trimmed smallSpec. */
+std::vector<ServingPoint>
+smallPoints()
+{
+    TrafficSpec small = smallSpec();
+    small.tenants[0].requests = 3;
+    small.tenants[1].requests = 2;
+    return {{"small", small, ServePolicy::Spatial},
+            {"small", small, ServePolicy::Fcfs},
+            {"small", small, ServePolicy::Reorder}};
+}
+
+/** {Fcfs, ReorderPreempt} on deadlineSpec, so preemptions are logged. */
+std::vector<ServingPoint>
+deadlinePoints()
+{
+    return {{"deadline", deadlineSpec(), ServePolicy::Fcfs},
+            {"deadline", deadlineSpec(), ServePolicy::ReorderPreempt}};
+}
+
+/**
+ * Serve each point with a ServeTrace attached and return both reports
+ * of those runs. A policy subset and tiny traces keep these tests
+ * cheap; the serving_gate test proves the same contract over the full
+ * bench matrix.
+ */
+ServingJson
+servingJsonFor(const GpuConfig& config, unsigned jobs,
+               const std::vector<ServingPoint>& points)
+{
+    struct Audited
+    {
+        ServingRunResult result;
+        ServeTrace trace;
+    };
     const ParallelRunner runner(jobs);
     const auto results =
-        runner.map<ServingRunResult>(policies.size(), [&](std::size_t i) {
+        runner.map<Audited>(points.size(), [&](std::size_t i) {
             ServeConfig serve;
-            serve.policy = policies[i];
+            serve.policy = points[i].policy;
+            Audited run;
             ServingEngine engine(config, serve);
-            return engine.run(generateTrace(spec));
+            engine.setTrace(&run.trace);
+            run.result = engine.run(generateTrace(points[i].spec));
+            return run;
         });
     ServingReport report("test_serve");
-    for (std::size_t i = 0; i < policies.size(); ++i) {
-        report.addRun(summarizeServing(toString(policies[i]), "small",
-                                       results[i], fakeIsolated()));
+    ServeTraceReport audit("test_serve");
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const std::string policy = toString(points[i].policy);
+        report.addRun(summarizeServing(policy, points[i].trace,
+                                       results[i].result, fakeIsolated()));
+        audit.addRun(policy, points[i].trace, results[i].result,
+                     results[i].trace);
     }
-    return report.toJson();
+    return {report.toJson(), audit.toJson()};
 }
 
 TEST(ServingDeterminism, FastForwardOnOffByteIdentical)
 {
-    const std::string on = reportJsonFor(serveCfg(true), 2);
-    const std::string off = reportJsonFor(serveCfg(false), 2);
-    EXPECT_EQ(on, off);
+    EXPECT_EQ(servingJsonFor(serveCfg(true), 2, smallPoints()).report,
+              servingJsonFor(serveCfg(false), 2, smallPoints()).report);
 }
 
 TEST(ServingDeterminism, JobCountByteIdentical)
 {
-    const std::string serial = reportJsonFor(serveCfg(), 1);
-    const std::string parallel = reportJsonFor(serveCfg(), 4);
-    EXPECT_EQ(serial, parallel);
+    EXPECT_EQ(servingJsonFor(serveCfg(), 1, smallPoints()).report,
+              servingJsonFor(serveCfg(), 4, smallPoints()).report);
 }
 
 TEST(ServingDeterminism, RepeatRunByteIdentical)
 {
-    EXPECT_EQ(reportJsonFor(serveCfg(), 2), reportJsonFor(serveCfg(), 2));
+    EXPECT_EQ(servingJsonFor(serveCfg(), 2, smallPoints()).report,
+              servingJsonFor(serveCfg(), 2, smallPoints()).report);
+}
+
+TEST(ServeTraceDeterminism, FastForwardOnOffByteIdentical)
+{
+    EXPECT_EQ(servingJsonFor(serveCfg(true), 2, deadlinePoints()).audit,
+              servingJsonFor(serveCfg(false), 2, deadlinePoints()).audit);
+}
+
+TEST(ServeTraceDeterminism, JobCountByteIdentical)
+{
+    EXPECT_EQ(servingJsonFor(serveCfg(), 1, deadlinePoints()).audit,
+              servingJsonFor(serveCfg(), 4, deadlinePoints()).audit);
+}
+
+TEST(ServeTraceDeterminism, RepeatRunByteIdentical)
+{
+    EXPECT_EQ(servingJsonFor(serveCfg(), 2, deadlinePoints()).audit,
+              servingJsonFor(serveCfg(), 2, deadlinePoints()).audit);
 }
 
 // --- predictor accuracy -------------------------------------------------
@@ -439,31 +527,6 @@ TEST(PredictorAccuracy, ZeroActualDies)
 }
 
 // --- decision audit -----------------------------------------------------
-
-/** Bursty deadline tenants against a long-kernel batch tenant on the
- *  small test machine — tuned so the reorder+preempt policy actually
- *  fires at least one CTA-drain preemption. */
-TrafficSpec
-deadlineSpec()
-{
-    TrafficSpec spec;
-    spec.seed = 23;
-    TenantSpec latency;
-    latency.process = ArrivalProcess::Bursty;
-    latency.mix = {"lud", "nw"};
-    latency.requests = 6;
-    latency.burstLen = 3;
-    latency.meanGapCycles = 400000;
-    latency.intraBurstGapCycles = 1000;
-    latency.deadlineSlack = 60000;
-    TenantSpec batch;
-    batch.process = ArrivalProcess::Poisson;
-    batch.mix = {"bp"};
-    batch.requests = 2;
-    batch.meanGapCycles = 500000;
-    spec.tenants = {latency, batch};
-    return spec;
-}
 
 TEST(ServeAudit, FcfsRunAuditsEveryAdmission)
 {
@@ -665,55 +728,6 @@ TEST(ServeSampler, GaugesAreFastForwardInvariant)
         return os.str();
     };
     EXPECT_EQ(gaugesFor(true), gaugesFor(false));
-}
-
-// --- servetrace artifact determinism ------------------------------------
-
-std::string
-serveTraceJsonFor(const GpuConfig& config, unsigned jobs)
-{
-    const std::vector<ServePolicy> policies = {ServePolicy::Fcfs,
-                                               ServePolicy::ReorderPreempt};
-    struct Point
-    {
-        ServingRunResult result;
-        ServeTrace trace;
-    };
-    const ParallelRunner runner(jobs);
-    const auto results =
-        runner.map<Point>(policies.size(), [&](std::size_t i) {
-            ServeConfig serve;
-            serve.policy = policies[i];
-            Point point;
-            ServingEngine engine(config, serve);
-            engine.setTrace(&point.trace);
-            point.result = engine.run(generateTrace(deadlineSpec()));
-            return point;
-        });
-    ServeTraceReport report("test_servetrace");
-    for (std::size_t i = 0; i < policies.size(); ++i) {
-        report.addRun(toString(policies[i]), "deadline", results[i].result,
-                      results[i].trace);
-    }
-    return report.toJson();
-}
-
-TEST(ServeTraceDeterminism, FastForwardOnOffByteIdentical)
-{
-    EXPECT_EQ(serveTraceJsonFor(serveCfg(true), 2),
-              serveTraceJsonFor(serveCfg(false), 2));
-}
-
-TEST(ServeTraceDeterminism, JobCountByteIdentical)
-{
-    EXPECT_EQ(serveTraceJsonFor(serveCfg(), 1),
-              serveTraceJsonFor(serveCfg(), 4));
-}
-
-TEST(ServeTraceDeterminism, RepeatRunByteIdentical)
-{
-    EXPECT_EQ(serveTraceJsonFor(serveCfg(), 2),
-              serveTraceJsonFor(serveCfg(), 2));
 }
 
 TEST(ServeTraceReport, JsonCarriesSchemaDecisionsAndPredictor)

@@ -46,8 +46,8 @@ schema and prints a per-metric delta table. Two schemas are understood:
     as they approach 0.
 
 ``bsched-servetrace-v1``
-    Decision-audit artifact from ``fig_serve_trace --emit-json``.
-    Decision counts, drain
+    Decision-audit artifact, ``servetrace.json`` under
+    ``fig_serving --artifacts DIR``. Decision counts, drain
     counters, predictor sample counts and the decision-log length must
     match exactly; the predictor's mean absolute error is compared
     relatively.
