@@ -83,6 +83,19 @@ parseArgs(int argc, char** argv)
                   "--log LEVEL)");
         }
     }
+    if (!opts.emitJsonPath.empty()) {
+        // Make the report's directory now: a missing one must not cost a
+        // whole sweep before the write fails.
+        const std::filesystem::path dir =
+            std::filesystem::path(opts.emitJsonPath).parent_path();
+        std::error_code ec;
+        if (!dir.empty())
+            std::filesystem::create_directories(dir, ec);
+        if (ec) {
+            fatal("--emit-json: cannot create '", dir.string(), "': ",
+                  ec.message());
+        }
+    }
     opts.jobs = resolveJobs(requested);
     if (!opts.progress) {
         const char* env = std::getenv("BSCHED_PROGRESS");
@@ -206,22 +219,25 @@ lcsChosenLimits(const GpuConfig& base,
 
     std::vector<std::uint32_t> limits;
     limits.reserve(results.size());
-    for (const RunResult& result : results) {
-        std::vector<double> decisions;
-        for (const auto& [name, value] : result.stats.entries()) {
-            if (name.rfind("lcs.core", 0) == 0 &&
-                name.size() >= 6 &&
-                name.compare(name.size() - 6, 6, ".n_opt") == 0) {
-                decisions.push_back(value);
-            }
-        }
-        std::sort(decisions.begin(), decisions.end());
-        limits.push_back(decisions.empty()
-            ? 0
-            : static_cast<std::uint32_t>(
-                  decisions[decisions.size() / 2]));
-    }
+    for (const RunResult& result : results)
+        limits.push_back(lcsChosenLimit(result.stats));
     return limits;
+}
+
+std::uint32_t
+lcsChosenLimit(const StatSet& stats)
+{
+    std::vector<double> decisions;
+    for (const auto& [name, value] : stats.entries()) {
+        if (name.rfind("lcs.core", 0) == 0 && name.size() >= 6 &&
+            name.compare(name.size() - 6, 6, ".n_opt") == 0) {
+            decisions.push_back(value);
+        }
+    }
+    std::sort(decisions.begin(), decisions.end());
+    return decisions.empty()
+        ? 0
+        : static_cast<std::uint32_t>(decisions[decisions.size() / 2]);
 }
 
 } // namespace bsched::bench

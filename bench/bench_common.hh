@@ -35,7 +35,8 @@ struct BenchOptions
     /** Resolved worker count (already passed through resolveJobs()). */
     unsigned jobs = 0;
 
-    /** --emit-json FILE: write the figure's BenchReport as JSON. */
+    /** --emit-json FILE: write the figure's BenchReport as JSON.
+     *  parseArgs() creates the file's directory. */
     std::string emitJsonPath;
 
     /** --artifacts DIR: write the run artifacts (see writeRunArtifacts)
@@ -112,14 +113,17 @@ GridResults runKernelGrid(const std::vector<KernelInfo>& kernels,
 
 /**
  * The CTA limit LCS converges to for each kernel in @p kernels: the
- * median of the per-core `lcs.coreC.k0.n_opt` decisions of one run
- * under @p base with the Lazy CTA scheduler (0 when the run recorded
- * none). Every kernel's run goes into one grid across @p jobs workers;
- * results come back in the order of @p kernels.
+ * lcsChosenLimit() of one run under @p base with the Lazy CTA
+ * scheduler. Every kernel's run goes into one grid across @p jobs
+ * workers; results come back in the order of @p kernels.
  */
 std::vector<std::uint32_t> lcsChosenLimits(
     const GpuConfig& base, const std::vector<KernelInfo>& kernels,
     unsigned jobs = 0);
+
+/** The median of a Lazy run's per-core `lcs.coreC.k0.n_opt` decisions
+ *  in @p stats; 0 when the run recorded none. */
+std::uint32_t lcsChosenLimit(const StatSet& stats);
 
 } // namespace bsched::bench
 

@@ -185,8 +185,8 @@ main(int argc, char** argv)
     const auto regime_best = oracleStaticBest(sweep, {pro, epi}, opts.jobs);
     const OracleResult& pro_best = regime_best[0];
     const OracleResult& epi_best = regime_best[1];
-    const std::uint32_t n_lcs =
-        bench::lcsChosenLimits(config, {phased}, opts.jobs)[0];
+    // The canonical run is the Lazy run lcsChosenLimits() would make.
+    const std::uint32_t n_lcs = bench::lcsChosenLimit(run.stats);
 
     Table regimes("per-regime static-best CTA limit vs one-shot pick");
     regimes.setHeader({"regime", "N_best", "N_max", "ipc@best", ""});

@@ -39,7 +39,7 @@ LdstUnit::allocBatch()
 
 void
 LdstUnit::pushBatch(Cycle now, int warp_id, std::int8_t reg, bool write,
-                    std::vector<Addr> lines, int kernel_id,
+                    const std::vector<Addr>& lines, int kernel_id,
                     std::int64_t cta_key)
 {
     (void)now;
@@ -58,7 +58,8 @@ LdstUnit::pushBatch(Cycle now, int warp_id, std::int8_t reg, bool write,
     batch.warpId = warp_id;
     batch.reg = reg;
     batch.write = write;
-    batch.pendingLines.assign(lines.begin(), lines.end());
+    batch.lines.assign(lines.begin(), lines.end());
+    batch.head = 0;
     batch.outstanding = 0;
     batch.kernelId = kernel_id;
     batch.ctaKey = cta_key;
@@ -70,11 +71,11 @@ LdstUnit::maybeComplete(std::uint32_t batch_id, Cycle now)
 {
     (void)now;
     Batch& batch = batches_[batch_id];
-    if (!batch.inUse || !batch.pendingLines.empty() || batch.outstanding > 0)
+    if (!batch.inUse || batch.linesLeft() || batch.outstanding > 0)
         return;
     if (!batch.write)
         completions_.push_back({batch.warpId, batch.reg});
-    batch = Batch{};
+    batch.inUse = false;
     freeBatches_.push_back(batch_id);
 }
 
@@ -83,7 +84,7 @@ LdstUnit::processLine(Cycle now)
 {
     const std::uint32_t batch_id = batchQ_.front();
     Batch& batch = batches_[batch_id];
-    const Addr line = batch.pendingLines.front();
+    const Addr line = batch.lines[batch.head];
 
     if (batch.write) {
         // Write-through, no-allocate: forward to L2; refresh L1 recency
@@ -92,7 +93,7 @@ LdstUnit::processLine(Cycle now)
             return false;
         tags_.access(line, now); // counts store hit/miss statistics
         outgoing_.push_back({line, true, coreId_});
-        batch.pendingLines.pop_front();
+        ++batch.head;
         ++linesProcessed_;
         ++writeLines_;
         return true;
@@ -102,7 +103,7 @@ LdstUnit::processLine(Cycle now)
     if (tags_.access(line, now)) {
         hitQ_.push(now, batch_id);
         ++batch.outstanding;
-        batch.pendingLines.pop_front();
+        ++batch.head;
         ++linesProcessed_;
         ++hitLines_;
         return true;
@@ -131,7 +132,7 @@ LdstUnit::processLine(Cycle now)
         }
     }
     ++batch.outstanding;
-    batch.pendingLines.pop_front();
+    ++batch.head;
     ++linesProcessed_;
     ++missLines_;
     // Access conservation: every processed line took exactly one of the
@@ -173,7 +174,7 @@ LdstUnit::tick(Cycle now)
         did_work = true;
         if (processLine(now)) {
             const std::uint32_t head = batchQ_.front();
-            if (batches_[head].pendingLines.empty()) {
+            if (!batches_[head].linesLeft()) {
                 batchQ_.pop_front();
                 maybeComplete(head, now);
             }
@@ -227,14 +228,6 @@ LdstUnit::onFill(Cycle now, Addr line_addr, std::uint32_t req_id)
     // The fill's delivery at the core ends the profiled request.
     if (memProfiler_ != nullptr)
         memProfiler_->endRequest(req_id, now);
-}
-
-std::vector<LoadCompletion>
-LdstUnit::drainCompletions()
-{
-    std::vector<LoadCompletion> out;
-    out.swap(completions_);
-    return out;
 }
 
 const MemRequest&

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,8 +75,8 @@ class LdstUnit
      * @param cta_key issuing CTA's global key (makeCtaKey; -1 unknown).
      */
     void pushBatch(Cycle now, int warp_id, std::int8_t reg, bool write,
-                   std::vector<Addr> lines, int kernel_id = kInvalidId,
-                   std::int64_t cta_key = -1);
+                   const std::vector<Addr>& lines,
+                   int kernel_id = kInvalidId, std::int64_t cta_key = -1);
 
     /**
      * Advance one cycle: service the head batch and the L1 hit queue.
@@ -100,8 +101,15 @@ class LdstUnit
      */
     void onFill(Cycle now, Addr line_addr, std::uint32_t req_id = 0);
 
-    /** Completed loads since the last drain; caller takes ownership. */
-    std::vector<LoadCompletion> drainCompletions();
+    /** Completed loads since the last clearCompletions(), in
+     *  completion order. */
+    std::span<const LoadCompletion> completions() const
+    {
+        return completions_;
+    }
+
+    /** Forget the completions the core has applied. */
+    void clearCompletions() { completions_.clear(); }
 
     /** Queued batches not yet walked through the L1 (tests/diagnostics). */
     std::size_t batchQueueLength() const { return batchQ_.size(); }
@@ -138,16 +146,23 @@ class LdstUnit
     void addStats(StatSet& stats) const;
 
   private:
+    /** One access batch. A slot is reused for every batch it holds:
+     *  pushBatch() overwrites each field, and `lines` keeps its
+     *  capacity. */
     struct Batch
     {
         bool inUse = false;
         int warpId = kInvalidId;
         std::int8_t reg = kNoReg;
         bool write = false;
-        std::deque<Addr> pendingLines;
+        /** The batch's lines; lines[head, end) are not yet walked. */
+        std::vector<Addr> lines;
+        std::uint32_t head = 0;
         std::uint32_t outstanding = 0;
         int kernelId = kInvalidId;   ///< profiler attribution
         std::int64_t ctaKey = -1;    ///< profiler attribution
+
+        bool linesLeft() const { return head < lines.size(); }
     };
 
     std::uint32_t allocBatch();

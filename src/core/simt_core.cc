@@ -24,8 +24,7 @@ SimtCore::SimtCore(const GpuConfig& config, std::uint32_t id)
       slotCtas_(config.numSchedulersPerCore),
       ctaIssued_(config.maxCtasPerCore, 0),
       slotStalls_(config.numSchedulersPerCore),
-      warpWake_(config.maxWarpsPerCore(), 0),
-      warpKernel_(config.maxWarpsPerCore(), kInvalidId),
+      issue_(config.maxWarpsPerCore()),
       freeWarpSlots_(config.maxWarpsPerCore())
 {
     for (std::uint32_t s = 0; s < config.numSchedulersPerCore; ++s) {
@@ -101,8 +100,6 @@ SimtCore::launchCta(Cycle now, const KernelInfo& kernel, int kernel_id,
         warp.kernel = &kernel;
         warp.cursor.init(kernel.program, cta_id);
         warp.sb.reset();
-        warpWake_[w] = 0;
-        warpKernel_[w] = kernel_id;
         // The youngest CTA: its warps go last in their slot's age order.
         ageOrder_[w % ageOrder_.size()].push_back(static_cast<int>(w));
         --freeWarpSlots_;
@@ -111,6 +108,7 @@ SimtCore::launchCta(Cycle now, const KernelInfo& kernel, int kernel_id,
             warp.done = true;
             ++cta.warpsDone;
         }
+        refreshIssueState(w);
         ++placed;
     }
     if (placed != fp.warps)
@@ -216,14 +214,29 @@ SimtCore::ctaIssueCounts(int kernel_id) const
     return counts;
 }
 
-bool
-SimtCore::structuralReady(const Instr& instr, Cycle now) const
+SimtCore::IssueState
+SimtCore::issueStateOf(const Warp& warp)
 {
-    switch (instr.op) {
+    IssueState state;
+    if (!warp.live())
+        return state;
+    const Instr& instr = warp.cursor.instr(warp.kernel->program);
+    state.wake = warp.sb.nextReadyCycle(instr);
+    state.kernelId = warp.kernelId;
+    state.op = instr.op;
+    state.gate = warp.atBarrier ? IssueState::Gate::Barrier
+                                : IssueState::Gate::Live;
+    return state;
+}
+
+bool
+SimtCore::structuralReady(Opcode op, Cycle now) const
+{
+    switch (op) {
       case Opcode::LdGlobal:
       case Opcode::StGlobal:
         return memIssuedThisCycle_ < config_.ldstUnits &&
-            ldst_.canAdmit(instr.op == Opcode::StGlobal);
+            ldst_.canAdmit(op == Opcode::StGlobal);
       case Opcode::LdShared:
       case Opcode::StShared:
         return memIssuedThisCycle_ < config_.ldstUnits &&
@@ -255,26 +268,16 @@ SimtCore::issueFrom(int warp_id, Cycle now)
         ++sfuIssuedThisCycle_;
         ++issuedSfu_;
         break;
-      case Opcode::LdGlobal: {
-        auto lines = coalesce(prog.pattern(instr.patternId),
-                              warp.kernel->geom(), warp.ctaId,
-                              warp.warpInCta, warp.cursor.iterKey(),
-                              instr.activeLanes, config_.l1d.lineBytes);
-        warp.sb.setPendingUntilRelease(instr.dst);
-        ldst_.pushBatch(now, warp_id, instr.dst, false, std::move(lines),
-                        warp.kernelId,
-                        makeCtaKey(warp.kernelId, warp.ctaId));
-        ++memIssuedThisCycle_;
-        ++issuedMem_;
-        break;
-      }
+      case Opcode::LdGlobal:
       case Opcode::StGlobal: {
-        auto lines = coalesce(prog.pattern(instr.patternId),
-                              warp.kernel->geom(), warp.ctaId,
-                              warp.warpInCta, warp.cursor.iterKey(),
-                              instr.activeLanes, config_.l1d.lineBytes);
-        ldst_.pushBatch(now, warp_id, kNoReg, true, std::move(lines),
-                        warp.kernelId,
+        const bool write = instr.op == Opcode::StGlobal;
+        coalesce(prog.pattern(instr.patternId), warp.kernel->geom(),
+                 warp.ctaId, warp.warpInCta, warp.cursor.iterKey(),
+                 instr.activeLanes, config_.l1d.lineBytes, coalesced_);
+        if (!write)
+            warp.sb.setPendingUntilRelease(instr.dst);
+        ldst_.pushBatch(now, warp_id, write ? kNoReg : instr.dst, write,
+                        coalesced_, warp.kernelId,
                         makeCtaKey(warp.kernelId, warp.ctaId));
         ++memIssuedThisCycle_;
         ++issuedMem_;
@@ -314,9 +317,12 @@ SimtCore::issueFrom(int warp_id, Cycle now)
 
     const bool was_barrier = instr.op == Opcode::Bar;
     warp.cursor.advance(prog, warp.ctaId);
-    if (warp.cursor.done(prog))
+    if (warp.cursor.done(prog)) {
         finishWarp(warp_id, now);
-    else if (was_barrier)
+        return;
+    }
+    refreshIssueState(static_cast<std::size_t>(warp_id));
+    if (was_barrier)
         checkBarrier(warp.hwCta);
 }
 
@@ -325,6 +331,7 @@ SimtCore::finishWarp(int warp_id, Cycle now)
 {
     Warp& warp = warps_[static_cast<std::size_t>(warp_id)];
     warp.done = true;
+    refreshIssueState(static_cast<std::size_t>(warp_id));
     HwCta& cta = ctas_[static_cast<std::size_t>(warp.hwCta)];
     ++cta.warpsDone;
     if (warp.atBarrier)
@@ -349,6 +356,7 @@ SimtCore::completeCta(int hw_cta, Cycle now)
     }
     regroupSlots();
     wakeSlots();
+    // Every warp of the CTA finished, so its issue state is Dead already.
     for (Warp& warp : warps_) {
         if (warp.valid && warp.hwCta == hw_cta) {
             warp.clear();
@@ -421,9 +429,11 @@ SimtCore::checkBarrier(int hw_cta)
     const std::uint32_t live = cta.warpsTotal - cta.warpsDone;
     if (live == 0 || cta.warpsArrived != live)
         return;
-    for (Warp& warp : warps_) {
-        if (warp.valid && warp.hwCta == hw_cta)
-            warp.atBarrier = false;
+    for (std::size_t w = 0; w < warps_.size(); ++w) {
+        if (warps_[w].valid && warps_[w].hwCta == hw_cta) {
+            warps_[w].atBarrier = false;
+            refreshIssueState(w);
+        }
     }
     cta.warpsArrived = 0;
     wakeSlots();
@@ -432,59 +442,43 @@ SimtCore::checkBarrier(int hw_cta)
 bool
 SimtCore::applyCompletions(Cycle now)
 {
-    bool applied = false;
-    for (const LoadCompletion& done : ldst_.drainCompletions()) {
-        const auto w = static_cast<std::size_t>(done.warpId);
+    const std::span<const LoadCompletion> done = ldst_.completions();
+    if (done.empty())
+        return false;
+    for (const LoadCompletion& load : done) {
+        const auto w = static_cast<std::size_t>(load.warpId);
         // The warp slot may have been recycled only if its CTA finished,
         // which is impossible with a load in flight.
-        warps_[w].sb.release(done.reg, now);
-        warpWake_[w] = 0;
+        warps_[w].sb.release(load.reg, now);
+        refreshIssueState(w);
         slotStalls_[w % slotStalls_.size()].wake = 0; // the warp's slot
-        applied = true;
     }
-    return applied;
+    ldst_.clearCompletions();
+    return true;
 }
 
 inline bool
 SimtCore::warpIssuable(std::size_t w, Cycle now, SlotStalls& stalls)
 {
-    // A scoreboard wait: kCycleNever marks an outstanding load
-    // (`scoreboard`, lifted by its completion), a finite cycle a
-    // fixed-latency result (`pipeline`, lifted at that cycle).
-    auto scoreboard_stall = [&](Cycle wake) {
-        std::size_t& cat = wake == kCycleNever ? stalls.sb : stalls.pipe;
+    const IssueState& state = issue_[w];
+    BSCHED_CHECK(state == issueStateOf(warps_[w]), name_,
+                 ": stale issue state for warp ", w, " at cycle ", now);
+    if (state.gate != IssueState::Gate::Live) {
+        if (state.gate == IssueState::Gate::Barrier)
+            stalls.barrier = std::min(stalls.barrier, w);
+        return false;
+    }
+    if (state.wake > now) {
+        // A scoreboard wait: kCycleNever marks an outstanding load
+        // (`scoreboard`, lifted by its completion), a finite cycle a
+        // fixed-latency result (`pipeline`, lifted at that cycle).
+        std::size_t& cat =
+            state.wake == kCycleNever ? stalls.sb : stalls.pipe;
         cat = std::min(cat, w);
-        stalls.wake = std::min(stalls.wake, wake);
-    };
-    // SoA fast path: a slot whose cached scoreboard wake time is in the
-    // future cannot issue — skip without touching the warp record (a
-    // cached wake implies the warp is live).
-    const Cycle cached_wake = warpWake_[w];
-    if (cached_wake > now) {
-        BSCHED_CHECK(
-            warps_[w].live() && !warps_[w].atBarrier &&
-                !warps_[w].sb.canIssue(
-                    warps_[w].cursor.instr(warps_[w].kernel->program), now),
-            name_, ": stale warp wake cache for warp ", w, " (cached ",
-            cached_wake, " at cycle ", now, ")");
-        scoreboard_stall(cached_wake);
+        stalls.wake = std::min(stalls.wake, state.wake);
         return false;
     }
-    const Warp& warp = warps_[w];
-    if (!warp.live())
-        return false;
-    if (warp.atBarrier) {
-        stalls.barrier = std::min(stalls.barrier, w);
-        return false;
-    }
-    const Instr& instr = warp.cursor.instr(warp.kernel->program);
-    if (!warp.sb.canIssue(instr, now)) {
-        // Cache the wake time; cleared on release/issue/launch.
-        warpWake_[w] = warp.sb.nextReadyCycle(instr);
-        scoreboard_stall(warpWake_[w]);
-        return false;
-    }
-    if (structuralReady(instr, now))
+    if (structuralReady(state.op, now))
         return true;
     // The refusal kind follows from the opcode alone: only memory ops
     // (LD/ST port, LD/ST queue, MSHRs, shared memory) and the SFU port
@@ -492,13 +486,13 @@ SimtCore::warpIssuable(std::size_t w, Cycle now, SlotStalls& stalls)
     // budget lifts next cycle and a busy shared-memory port when it
     // frees; LD/ST admission lifts on an event (the issue stage's
     // canAdmit watch).
-    const bool sfu = instr.op == Opcode::Sfu;
+    const bool sfu = state.op == Opcode::Sfu;
     std::size_t& cat = sfu ? stalls.pipe : stalls.mem;
     cat = std::min(cat, w);
     Cycle wake = kCycleNever;
     if (sfu || memIssuedThisCycle_ >= config_.ldstUnits)
         wake = now + 1;
-    else if (instr.op == Opcode::LdShared || instr.op == Opcode::StShared)
+    else if (state.op == Opcode::LdShared || state.op == Opcode::StShared)
         wake = smemBusyUntil_;
     stalls.wake = std::min(stalls.wake, wake);
     return false;
@@ -528,7 +522,8 @@ SimtCore::recordStalledSlot(CycleProfiler& profiler,
         cat = SlotCat::Barrier;
     }
     profiler.recordSlotSpan(
-        id_, witness == SlotStalls::kNone ? kInvalidId : warpKernel_[witness],
+        id_,
+        witness == SlotStalls::kNone ? kInvalidId : issue_[witness].kernelId,
         cat, n);
 }
 
@@ -578,7 +573,6 @@ SimtCore::issueSlots(Cycle now)
                 recordStalledSlot(*profiler_, stalls, 1);
             continue;
         }
-        warpWake_[static_cast<std::size_t>(chosen)] = 0;
         // Notify before issuing: issueFrom can retire the warp's CTA and
         // recycle the slot, after which its metadata is gone.
         schedulers_[s]->notifyIssued(chosen, warps_);
@@ -653,13 +647,11 @@ SimtCore::nextWorkCycle(Cycle now) const
     Cycle next = ldst_.nextEventCycle(now);
     if (residentCtas() == 0)
         return next;
-    for (std::size_t w = 0; w < warps_.size(); ++w) {
-        const Warp& warp = warps_[w];
-        if (!warp.live() || warp.atBarrier)
+    for (const IssueState& state : issue_) {
+        if (state.gate != IssueState::Gate::Live)
             continue;
-        const Instr& instr = warp.cursor.instr(warp.kernel->program);
-        Cycle wake = warp.sb.nextReadyCycle(instr);
-        switch (instr.op) {
+        Cycle wake = state.wake;
+        switch (state.op) {
           case Opcode::LdShared:
           case Opcode::StShared:
             // The port matters only once the scoreboard has cleared:

@@ -62,6 +62,9 @@ class SimtCore
     /** CTA completions since the last drain. */
     std::vector<CtaDoneEvent> drainCompletedCtas();
 
+    /** True if a CTA completed since the last drain. */
+    bool hasCompletedCtas() const { return !completed_.empty(); }
+
     // --- simulation -----------------------------------------------------
 
     /**
@@ -213,22 +216,57 @@ class SimtCore
         std::size_t sb = kNone;
         std::size_t pipe = kNone;
         std::size_t barrier = kNone;
-        /** A finite cached warpWake_, smemBusyUntil_ for a busy
-         *  shared-memory port, or now + 1 for a spent port budget;
-         *  kCycleNever if only events can lift every refusal. */
+        /** A finite scoreboard wake (IssueState::wake),
+         *  smemBusyUntil_ for a busy shared-memory port, or now + 1 for
+         *  a spent port budget; kCycleNever if only events can lift
+         *  every refusal. */
         Cycle wake = kCycleNever;
     };
 
-    /** Structural half of the issue check (ports, LD/ST admission,
-     *  smem); the scoreboard is the other half. */
-    bool structuralReady(const Instr& instr, Cycle now) const;
     /**
-     * The issue test: can warp @p w issue at @p now? Caches a
-     * scoreboard-blocked warp's wake time in warpWake_. A refused warp
-     * is noted under its stall category in @p stalls, and the time its
-     * refusal lifts folds into stalls.wake. The issue walk and
-     * quiet-span accounting share it, so plain stepping and
-     * fast-forward classify stalls with the same code.
+     * What the issue test needs of one warp slot, packed so the walk
+     * never loads the ~600-byte Warp record. Exact, not a cache: it is
+     * rewritten from the Warp (issueStateOf) whenever that warp's
+     * issue-relevant state changes — at launch, after each issue once
+     * the cursor has advanced, on a load release, on a barrier
+     * release and on warp finish (a CTA retires only after all of its
+     * warps finished).
+     */
+    struct IssueState
+    {
+        /** Dead: no warp, or a finished one. Barrier: waiting at its
+         *  CTA's barrier. Live: gated only by wake and the ports. */
+        enum class Gate : std::uint8_t { Dead, Barrier, Live };
+
+        /** Scoreboard wake of the current instruction
+         *  (Scoreboard::nextReadyCycle): kCycleNever while a load it
+         *  reads or writes is outstanding. */
+        Cycle wake = 0;
+        int kernelId = kInvalidId;
+        Opcode op = Opcode::Exit; ///< the current instruction's opcode
+        Gate gate = Gate::Dead;
+
+        bool operator==(const IssueState&) const = default;
+    };
+
+    /** @p warp's issue state; every Dead state is the default one. */
+    static IssueState issueStateOf(const Warp& warp);
+    /** Rewrite warp slot @p w's issue state from its Warp record. */
+    void refreshIssueState(std::size_t w)
+    {
+        issue_[w] = issueStateOf(warps_[w]);
+    }
+    /** Structural half of the issue check (ports, LD/ST admission,
+     *  smem) for an @p op; the scoreboard is the other half. */
+    bool structuralReady(Opcode op, Cycle now) const;
+    /**
+     * The issue test: can warp @p w issue at @p now? Reads only the
+     * slot's IssueState and the port budgets. A refused warp is noted
+     * under its stall category in @p stalls, and the time its refusal
+     * lifts folds into stalls.wake. The issue walk and quiet-span
+     * accounting share it, so plain stepping and fast-forward classify
+     * stalls with the same code. Validate builds check the IssueState
+     * against the Warp record on every visit.
      */
     bool warpIssuable(std::size_t w, Cycle now, SlotStalls& stalls);
     /**
@@ -294,19 +332,12 @@ class SimtCore
     bool admitLoad_ = true;
     bool admitStore_ = true;
 
-    /**
-     * SoA-packed hot state for the issue loop: a per-warp-slot cycle
-     * before which the occupying warp's scoreboard cannot clear.
-     * Strictly a lower bound — set when the issue walk finds a warp's
-     * operands pending, reset to 0 on launch, issue and load release —
-     * so skipping a slot with warpWake_ > now never changes behaviour;
-     * it only avoids touching the cold Warp record and its scoreboard.
-     */
-    std::vector<Cycle> warpWake_;
-    /** SoA mirror of Warp::kernelId (set at warp launch): a stalled
-     *  slot is attributed to its witness warp's kernel without touching
-     *  that warp's cold record, which a wake-cached warp skipped. */
-    std::vector<int> warpKernel_;
+    /** Per warp slot: its exact IssueState, the only per-warp state
+     *  the issue walk and quiet-span accounting read. */
+    std::vector<IssueState> issue_;
+    /** The line set of the global access being issued (coalesce()
+     *  output; reused so an issue allocates nothing). */
+    std::vector<Addr> coalesced_;
     /** Free warp contexts (kept in sync with Warp::valid): canAccept
      *  in O(1) instead of scanning 48 slots per scheduler tick. */
     std::uint32_t freeWarpSlots_ = 0;

@@ -240,6 +240,8 @@ Gpu::stepCycle()
 
     // Collect CTA completions and update kernel instances.
     for (auto& core : cores_) {
+        if (!core->hasCompletedCtas())
+            continue;
         for (const CtaDoneEvent& event : core->drainCompletedCtas()) {
             did_work = true;
             ctaPassDue_ = true;

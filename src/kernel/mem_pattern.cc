@@ -1,6 +1,7 @@
 #include "kernel/mem_pattern.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "sim/log.hh"
 #include "sim/rng.hh"
@@ -121,21 +122,31 @@ laneAddress(const MemPattern& p, const KernelGeom& g, std::uint32_t cta,
     panic("laneAddress: unhandled pattern kind");
 }
 
+void
+coalesce(const MemPattern& p, const KernelGeom& g, std::uint32_t cta,
+         std::uint32_t warp_in_cta, std::uint64_t iter,
+         std::uint32_t active_lanes, std::uint32_t line_bytes,
+         std::vector<Addr>& out)
+{
+    if (active_lanes == 0 || active_lanes > kWarpSize)
+        panic("coalesce: active_lanes out of range: ", active_lanes);
+    const Addr mask = ~static_cast<Addr>(line_bytes - 1);
+    out.clear();
+    for (std::uint32_t lane = 0; lane < active_lanes; ++lane) {
+        Addr line = laneAddress(p, g, cta, warp_in_cta, lane, iter) & mask;
+        if (std::find(out.begin(), out.end(), line) == out.end())
+            out.push_back(line);
+    }
+}
+
 std::vector<Addr>
 coalesce(const MemPattern& p, const KernelGeom& g, std::uint32_t cta,
          std::uint32_t warp_in_cta, std::uint64_t iter,
          std::uint32_t active_lanes, std::uint32_t line_bytes)
 {
-    if (active_lanes == 0 || active_lanes > kWarpSize)
-        panic("coalesce: active_lanes out of range: ", active_lanes);
-    const Addr mask = ~static_cast<Addr>(line_bytes - 1);
     std::vector<Addr> lines;
     lines.reserve(8);
-    for (std::uint32_t lane = 0; lane < active_lanes; ++lane) {
-        Addr line = laneAddress(p, g, cta, warp_in_cta, lane, iter) & mask;
-        if (std::find(lines.begin(), lines.end(), line) == lines.end())
-            lines.push_back(line);
-    }
+    coalesce(p, g, cta, warp_in_cta, iter, active_lanes, line_bytes, lines);
     return lines;
 }
 
@@ -145,13 +156,8 @@ sharedConflictFactor(const MemPattern& p, std::uint32_t active_lanes)
     constexpr std::uint32_t kBanks = 32;
     if (p.kind != AccessKind::SharedBank)
         return 1;
-    std::uint32_t count[kBanks] = {};
-    std::uint32_t worst = 0;
-    for (std::uint32_t lane = 0; lane < active_lanes; ++lane) {
-        std::uint32_t bank = (lane * p.bankStride) % kBanks;
-        worst = std::max(worst, ++count[bank]);
-    }
-    return std::max<std::uint32_t>(worst, 1);
+    const std::uint32_t period = kBanks / std::gcd(p.bankStride, kBanks);
+    return std::max<std::uint32_t>((active_lanes + period - 1) / period, 1);
 }
 
 } // namespace bsched

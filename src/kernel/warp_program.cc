@@ -111,14 +111,6 @@ WarpProgram::validate() const
     }
 }
 
-const Instr&
-ProgramCursor::instr(const WarpProgram& prog) const
-{
-    // Hot path: called once per warp-readiness check; bounds are
-    // guaranteed by advance()/done().
-    return prog.segments()[seg].instrs[pc];
-}
-
 void
 ProgramCursor::advance(const WarpProgram& prog, std::uint32_t cta)
 {

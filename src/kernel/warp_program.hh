@@ -82,8 +82,14 @@ struct ProgramCursor
     std::uint32_t trip = 0;
     std::uint32_t pc = 0;
 
-    /** Current instruction; program must not be done. */
-    const Instr& instr(const WarpProgram& prog) const;
+    /** Current instruction; program must not be done (bounds are
+     *  guaranteed by advance()/done()). Inline: the issue stage reads it
+     *  once per issued instruction. */
+    const Instr&
+    instr(const WarpProgram& prog) const
+    {
+        return prog.segments()[seg].instrs[pc];
+    }
 
     /**
      * Iteration key for address generation: the trip index within the

@@ -69,7 +69,7 @@ MemPartition::handleDramResponses(Cycle now)
         // Waiters first: the fill's CTA owner (for interference
         // attribution) is the primary requester's, and the primary is
         // the oldest waiter with a tracked request id.
-        const std::vector<MshrWaiter> waiters = mshr_.complete(line);
+        const std::span<const MshrWaiter> waiters = mshr_.complete(line);
         std::int64_t owner = -1;
         if (memProfiler_ != nullptr) {
             for (MshrWaiter waiter : waiters) {

@@ -1,5 +1,7 @@
 #include "mem/mshr.hh"
 
+#include <algorithm>
+
 #include "sim/check.hh"
 #include "sim/log.hh"
 
@@ -11,20 +13,24 @@ MshrFile::MshrFile(std::uint32_t entries, std::uint32_t max_merged,
 {
     if (entries_ == 0 || maxMerged_ == 0)
         fatal("mshr ", name_, ": zero capacity");
+    lines_.resize(entries_);
+    merged_.resize(entries_);
+    waiters_.resize(static_cast<std::size_t>(entries_) * maxMerged_);
+    completed_.resize(maxMerged_);
 }
 
 MshrOutcome
 MshrFile::allocate(Addr line_addr, MshrWaiter waiter)
 {
-    auto it = map_.find(line_addr);
-    if (it != map_.end()) {
-        if (it->second.size() >= maxMerged_) {
+    const std::uint32_t i = find(line_addr);
+    if (i < used_) {
+        if (merged_[i] >= maxMerged_) {
             ++fullEntryStalls_;
             return MshrOutcome::FullEntry;
         }
-        it->second.push_back(waiter);
+        waitersOf(i)[merged_[i]++] = waiter;
         ++merges_;
-        BSCHED_INVARIANT(it->second.size() <= maxMerged_, "mshr ", name_,
+        BSCHED_INVARIANT(merged_[i] <= maxMerged_, "mshr ", name_,
                          ": merge list exceeds capacity");
         return MshrOutcome::Merged;
     }
@@ -32,7 +38,10 @@ MshrFile::allocate(Addr line_addr, MshrWaiter waiter)
         ++fullFileStalls_;
         return MshrOutcome::FullFile;
     }
-    map_.emplace(line_addr, std::vector<MshrWaiter>{waiter});
+    lines_[used_] = line_addr;
+    merged_[used_] = 1;
+    waitersOf(used_)[0] = waiter;
+    ++used_;
     ++allocs_;
     // Conservation: every allocated entry is either still outstanding or
     // has been completed exactly once.
@@ -43,33 +52,33 @@ MshrFile::allocate(Addr line_addr, MshrWaiter waiter)
     return MshrOutcome::NewEntry;
 }
 
-bool
-MshrFile::has(Addr line_addr) const
-{
-    return map_.find(line_addr) != map_.end();
-}
-
-std::vector<MshrWaiter>
+std::span<const MshrWaiter>
 MshrFile::complete(Addr line_addr)
 {
     // A fill for a line nobody asked for — or a second fill after the
     // entry already retired (double fill) — means merge/fill pairing
     // broke upstream. The contract fires first in validating builds
-    // (throwable for injection tests); the panic keeps Release builds
-    // from dereferencing end().
-    BSCHED_CHECK(has(line_addr), "mshr ", name_,
+    // (throwable for injection tests); the panic is the Release backstop.
+    const std::uint32_t i = find(line_addr);
+    BSCHED_CHECK(i < used_, "mshr ", name_,
                  ": double fill or fill of unknown line");
-    auto it = map_.find(line_addr);
-    if (it == map_.end())
+    if (i == used_)
         panic("mshr ", name_, ": complete of unknown line");
-    BSCHED_INVARIANT(!it->second.empty(), "mshr ", name_,
+    const std::uint32_t n = merged_[i];
+    BSCHED_INVARIANT(n > 0, "mshr ", name_,
                      ": completing entry with no waiters");
-    std::vector<MshrWaiter> waiters = std::move(it->second);
-    map_.erase(it);
+    std::copy_n(waitersOf(i), n, completed_.begin());
+    // Keep the prefix dense: the last entry moves into the freed one.
+    const std::uint32_t last = --used_;
+    if (i != last) {
+        lines_[i] = lines_[last];
+        merged_[i] = merged_[last];
+        std::copy_n(waitersOf(last), merged_[last], waitersOf(i));
+    }
     ++completes_;
     BSCHED_INVARIANT(allocs_ == completes_ + entriesInUse(), "mshr ", name_,
                      ": alloc/complete balance broken");
-    return waiters;
+    return {completed_.data(), n};
 }
 
 void

@@ -10,7 +10,7 @@
 #define BSCHED_MEM_MSHR_HH
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,7 +31,14 @@ enum class MshrOutcome
 /** Opaque waiter token stored per merged miss (client-defined). */
 using MshrWaiter = std::uint64_t;
 
-/** MSHR file with per-line merge capacity. */
+/**
+ * MSHR file with per-line merge capacity, stored flat: at most `entries`
+ * lines with at most `maxMerged` waiters each, allocated once. The
+ * entries in use form a dense prefix (a completed entry is replaced by
+ * the last one), so a lookup scans only the outstanding lines. Nothing
+ * observable depends on where an entry sits: lookups are by line, and
+ * a line's waiters keep their merge order.
+ */
 class MshrFile
 {
   public:
@@ -46,33 +53,46 @@ class MshrFile
     MshrOutcome allocate(Addr line_addr, MshrWaiter waiter);
 
     /** True if a fetch for @p line_addr is already outstanding. */
-    bool has(Addr line_addr) const;
+    bool has(Addr line_addr) const { return find(line_addr) < used_; }
 
     /**
      * Complete the fetch of @p line_addr: removes the entry and returns
-     * its waiters (panic() if absent).
+     * its waiters in merge order (panic() if absent). The span views a
+     * buffer of this file, valid until the next complete().
      */
-    std::vector<MshrWaiter> complete(Addr line_addr);
+    std::span<const MshrWaiter> complete(Addr line_addr);
 
-    std::uint32_t entriesInUse() const
-    {
-        return static_cast<std::uint32_t>(map_.size());
-    }
-    bool full() const { return entriesInUse() >= entries_; }
-    bool empty() const { return map_.empty(); }
+    std::uint32_t entriesInUse() const { return used_; }
+    bool full() const { return used_ >= entries_; }
+    bool empty() const { return used_ == 0; }
 
     void addStats(StatSet& stats, const std::string& prefix) const;
 
   private:
+    /** Index of @p line_addr's entry; used_ if none. */
+    std::uint32_t
+    find(Addr line_addr) const
+    {
+        std::uint32_t i = 0;
+        while (i < used_ && lines_[i] != line_addr)
+            ++i;
+        return i;
+    }
+
+    /** Entry @p i's waiter list. */
+    MshrWaiter* waitersOf(std::uint32_t i)
+    {
+        return &waiters_[static_cast<std::size_t>(i) * maxMerged_];
+    }
+
     std::uint32_t entries_;
     std::uint32_t maxMerged_;
     std::string name_;
-    /**
-     * Ordered by line address so any iteration (stats, debug dumps) is
-     * deterministic — an unordered_map here would let hash order leak
-     * into anything that ever walks the outstanding set.
-     */
-    std::map<Addr, std::vector<MshrWaiter>> map_;
+    std::uint32_t used_ = 0;             ///< entries [0, used_) are live
+    std::vector<Addr> lines_;            ///< per entry: its line
+    std::vector<std::uint32_t> merged_;  ///< per entry: waiter count
+    std::vector<MshrWaiter> waiters_;    ///< per entry: maxMerged_ slots
+    std::vector<MshrWaiter> completed_;  ///< complete()'s result
     std::uint64_t allocs_ = 0;
     std::uint64_t merges_ = 0;
     std::uint64_t completes_ = 0;

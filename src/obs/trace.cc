@@ -1,5 +1,6 @@
 #include "obs/trace.hh"
 
+#include <algorithm>
 #include <ostream>
 #include <string>
 
@@ -60,8 +61,6 @@ Tracer::Tracer(std::uint32_t num_cores, std::uint32_t num_partitions,
     if (capacity_ == 0)
         fatal("tracer: ring capacity must be > 0");
     tracks_.resize(gpuTrack() + 1);
-    for (Ring& ring : tracks_)
-        ring.buf.resize(capacity_);
 }
 
 std::uint32_t
@@ -69,7 +68,6 @@ Tracer::addTrack(const std::string& name)
 {
     const auto track = static_cast<std::uint32_t>(tracks_.size());
     tracks_.emplace_back();
-    tracks_.back().buf.resize(capacity_);
     extraNames_.push_back(name);
     return track;
 }
@@ -90,14 +88,19 @@ void
 Tracer::record(std::uint32_t track, const TraceEvent& event)
 {
     Ring& ring = tracks_.at(track);
-    if (ring.count == capacity_) {
+    if (ring.buf.size() < capacity_) {
+        // Growing: append. The head stays at 0 until the ring is full.
+        if (ring.buf.size() == ring.buf.capacity()) {
+            ring.buf.reserve(
+                std::min(capacity_, std::max<std::size_t>(
+                                        64, 2 * ring.buf.size())));
+        }
+        ring.buf.push_back(event);
+    } else {
         // Full: overwrite the oldest slot and advance the head.
         ring.buf[ring.head] = event;
         ring.head = (ring.head + 1) % capacity_;
         ++dropped_;
-    } else {
-        ring.buf[(ring.head + ring.count) % capacity_] = event;
-        ++ring.count;
     }
     ++recorded_;
 }
@@ -107,9 +110,9 @@ Tracer::events(std::uint32_t track) const
 {
     const Ring& ring = tracks_.at(track);
     std::vector<TraceEvent> out;
-    out.reserve(ring.count);
-    for (std::size_t i = 0; i < ring.count; ++i)
-        out.push_back(ring.buf[(ring.head + i) % capacity_]);
+    out.reserve(ring.buf.size());
+    for (std::size_t i = 0; i < ring.buf.size(); ++i)
+        out.push_back(ring.buf[(ring.head + i) % ring.buf.size()]);
     return out;
 }
 

@@ -4,9 +4,11 @@
  *
  * Components record typed, fixed-size TraceEvents into per-track ring
  * buffers (one track per SIMT core, one per memory partition, one for
- * the whole GPU). Recording is O(1), allocation-free after construction
- * and guarded at every call site by a null-pointer check, so a run
- * without a Tracer attached pays only an untaken branch.
+ * the whole GPU). A ring allocates nothing until its track records, then
+ * grows on demand up to its capacity, after which each event overwrites
+ * the oldest. Recording is amortized O(1) and guarded at every call
+ * site by a null-pointer check, so a run without a Tracer attached pays
+ * only an untaken branch.
  *
  * The buffers export Chrome `trace_event` JSON (the format consumed by
  * chrome://tracing and Perfetto): CTA and kernel lifetimes become
@@ -127,11 +129,12 @@ class Tracer
                           const IntervalSampler* sampler = nullptr) const;
 
   private:
+    /** Events in buf[head, end) then buf[0, head). head moves only
+     *  once the ring holds capacity_ events. */
     struct Ring
     {
         std::vector<TraceEvent> buf;
         std::size_t head = 0;  ///< index of the oldest event
-        std::size_t count = 0;
     };
 
     std::uint32_t numCores_;

@@ -1,10 +1,11 @@
 /**
  * @file
  * Determinism regression tests backing the determinism pass of
- * tools/analyze: the containers it forced from unordered_map to std::map (MSHR
- * outstanding set, BAWS per-block rotation) must not leak insertion /
- * encounter order into waiter lists, schedule decisions, or the
- * serialized bsched-run-v1 artifact.
+ * tools/analyze: the MSHR outstanding set (a flat array whose entries
+ * move when one completes) and the BAWS per-block rotation (a std::map,
+ * never a hash container) must not leak insertion / encounter order
+ * into waiter lists, schedule decisions, or the serialized
+ * bsched-run-v1 artifact.
  */
 
 #include <gtest/gtest.h>

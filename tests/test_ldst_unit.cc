@@ -6,10 +6,23 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "core/ldst_unit.hh"
 
 namespace bsched {
 namespace {
+
+/** The unit's completions, cleared as the core clears them. */
+std::vector<LoadCompletion>
+drain(LdstUnit& unit)
+{
+    const std::span<const LoadCompletion> done = unit.completions();
+    std::vector<LoadCompletion> out(done.begin(), done.end());
+    unit.clearCompletions();
+    return out;
+}
 
 GpuConfig
 cfg()
@@ -32,7 +45,7 @@ TEST(LdstUnit, LoadMissSendsRequestAndCompletesOnFill)
     EXPECT_EQ(req.coreId, 3);
 
     unit.onFill(10, 0x1000);
-    const auto done = unit.drainCompletions();
+    const auto done = drain(unit);
     ASSERT_EQ(done.size(), 1u);
     EXPECT_EQ(done[0].warpId, 7);
     EXPECT_EQ(done[0].reg, 5);
@@ -48,17 +61,17 @@ TEST(LdstUnit, LoadHitCompletesAfterHitLatency)
     unit.tick(t);
     unit.popOutgoing();
     unit.onFill(1, 0x2000);
-    unit.drainCompletions();
+    drain(unit);
 
     t = 5;
     unit.pushBatch(t, 2, 6, false, {0x2000});
     unit.tick(t); // access at t=5, hit returns at t=7
     ++t;
-    EXPECT_TRUE(unit.drainCompletions().empty());
+    EXPECT_TRUE(drain(unit).empty());
     unit.tick(t); // t=6: not yet
     ++t;
     unit.tick(t); // t=7: hit latency elapsed
-    const auto done = unit.drainCompletions();
+    const auto done = drain(unit);
     ASSERT_EQ(done.size(), 1u);
     EXPECT_EQ(done[0].warpId, 2);
     EXPECT_FALSE(unit.hasOutgoing()); // no memory traffic on a hit
@@ -77,7 +90,7 @@ TEST(LdstUnit, SecondaryMissMergesWithoutSecondRequest)
     unit.popOutgoing();
     EXPECT_FALSE(unit.hasOutgoing());
     unit.onFill(t, 0x3000);
-    const auto done = unit.drainCompletions();
+    const auto done = drain(unit);
     EXPECT_EQ(done.size(), 2u);
 }
 
@@ -98,9 +111,9 @@ TEST(LdstUnit, MultiLineBatchProcessesOneLinePerCycle)
     // Completion only after all three fills.
     unit.onFill(t, 0x1000);
     unit.onFill(t, 0x2000);
-    EXPECT_TRUE(unit.drainCompletions().empty());
+    EXPECT_TRUE(drain(unit).empty());
     unit.onFill(t, 0x3000);
-    EXPECT_EQ(unit.drainCompletions().size(), 1u);
+    EXPECT_EQ(drain(unit).size(), 1u);
 }
 
 TEST(LdstUnit, StoreIsWriteThroughFireAndForget)
@@ -113,7 +126,7 @@ TEST(LdstUnit, StoreIsWriteThroughFireAndForget)
     const MemRequest req = unit.popOutgoing();
     EXPECT_TRUE(req.write);
     // No load completion for stores; unit drains immediately.
-    EXPECT_TRUE(unit.drainCompletions().empty());
+    EXPECT_TRUE(drain(unit).empty());
     EXPECT_TRUE(unit.drained());
 }
 

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "kernel/mem_pattern.hh"
 
@@ -37,7 +39,8 @@ TEST(MemPattern, CoalescedWarpAccessTouchesOneLine)
 {
     MemPattern p;
     p.kind = AccessKind::Coalesced;
-    const auto lines = coalesce(p, kGeom, 7, 1, 5, kWarpSize, 128);
+    std::vector<Addr> lines;
+    coalesce(p, kGeom, 7, 1, 5, kWarpSize, 128, lines);
     EXPECT_EQ(lines.size(), 1u);
 }
 
@@ -46,7 +49,8 @@ TEST(MemPattern, StridedAccessAmplifiesLines)
     MemPattern p;
     p.kind = AccessKind::Strided;
     p.strideElems = 8; // 32B between lanes: 4 lanes per 128B line
-    const auto lines = coalesce(p, kGeom, 0, 0, 0, kWarpSize, 128);
+    std::vector<Addr> lines;
+    coalesce(p, kGeom, 0, 0, 0, kWarpSize, 128, lines);
     EXPECT_EQ(lines.size(), 8u);
 }
 
@@ -55,7 +59,8 @@ TEST(MemPattern, FullyDivergentStrideTouches32Lines)
     MemPattern p;
     p.kind = AccessKind::Strided;
     p.strideElems = 32; // 128B apart: every lane its own line
-    const auto lines = coalesce(p, kGeom, 0, 0, 0, kWarpSize, 128);
+    std::vector<Addr> lines;
+    coalesce(p, kGeom, 0, 0, 0, kWarpSize, 128, lines);
     EXPECT_EQ(lines.size(), 32u);
 }
 
@@ -137,7 +142,8 @@ TEST(MemPattern, BroadcastCoalescesToOneLine)
 {
     MemPattern p;
     p.kind = AccessKind::Broadcast;
-    const auto lines = coalesce(p, kGeom, 0, 0, 0, kWarpSize, 128);
+    std::vector<Addr> lines;
+    coalesce(p, kGeom, 0, 0, 0, kWarpSize, 128, lines);
     EXPECT_EQ(lines.size(), 1u);
 }
 
@@ -188,12 +194,58 @@ TEST(MemPattern, ValidationCatchesBadParameters)
     EXPECT_DEATH(shared.validate(), "shared");
 }
 
+TEST(MemPattern, CoalesceIntoReusedBufferMatchesFreshVector)
+{
+    MemPattern strided;
+    strided.kind = AccessKind::Strided;
+    strided.strideElems = 8;
+    MemPattern broadcast;
+    broadcast.kind = AccessKind::Broadcast;
+    std::vector<Addr> lines;
+    coalesce(strided, kGeom, 0, 0, 0, kWarpSize, 128, lines);
+    EXPECT_EQ(lines, coalesce(strided, kGeom, 0, 0, 0, kWarpSize, 128));
+    // The buffer is cleared, not appended to.
+    coalesce(broadcast, kGeom, 0, 0, 3, kWarpSize, 128, lines);
+    EXPECT_EQ(lines, coalesce(broadcast, kGeom, 0, 0, 3, kWarpSize, 128));
+    EXPECT_EQ(lines.size(), 1u);
+}
+
+/** The conflict factor as a 32-lane walk over the banks: the reference
+ *  the closed form must match. */
+std::uint32_t
+conflictFactorByLanes(std::uint32_t stride, std::uint32_t lanes)
+{
+    constexpr std::uint32_t kBanks = 32;
+    std::uint32_t count[kBanks] = {};
+    std::uint32_t worst = 0;
+    for (std::uint32_t lane = 0; lane < lanes; ++lane)
+        worst = std::max(worst, ++count[(lane * stride) % kBanks]);
+    return std::max<std::uint32_t>(worst, 1);
+}
+
+TEST(MemPattern, SharedConflictClosedFormMatchesLaneWalk)
+{
+    MemPattern p;
+    p.kind = AccessKind::SharedBank;
+    p.space = MemSpace::Shared;
+    for (std::uint32_t stride = 1; stride <= 64; ++stride) {
+        p.bankStride = stride;
+        for (std::uint32_t lanes = 1; lanes <= kWarpSize; ++lanes) {
+            EXPECT_EQ(sharedConflictFactor(p, lanes),
+                      conflictFactorByLanes(stride, lanes))
+                << "stride " << stride << ", lanes " << lanes;
+        }
+    }
+}
+
 TEST(MemPattern, CoalesceRejectsBadLaneCount)
 {
     MemPattern p;
     p.kind = AccessKind::Coalesced;
-    EXPECT_DEATH(coalesce(p, kGeom, 0, 0, 0, 0, 128), "active_lanes");
-    EXPECT_DEATH(coalesce(p, kGeom, 0, 0, 0, 33, 128), "active_lanes");
+    std::vector<Addr> lines;
+    EXPECT_DEATH(coalesce(p, kGeom, 0, 0, 0, 0, 128, lines), "active_lanes");
+    EXPECT_DEATH(coalesce(p, kGeom, 0, 0, 0, 33, 128, lines),
+                 "active_lanes");
 }
 
 } // namespace

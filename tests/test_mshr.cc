@@ -60,6 +60,42 @@ TEST(Mshr, CompleteReturnsAllWaitersInOrder)
     EXPECT_TRUE(mshr.empty());
 }
 
+TEST(Mshr, FreedEntryIsReusedAndMovedEntryKeepsItsWaiters)
+{
+    MshrFile mshr(4, 4, "m");
+    for (Addr line : {0x100, 0x200, 0x300, 0x400})
+        ASSERT_EQ(mshr.allocate(line, line + 1), MshrOutcome::NewEntry);
+    ASSERT_EQ(mshr.allocate(0x400, 0x402), MshrOutcome::Merged);
+    ASSERT_TRUE(mshr.full());
+
+    // Completing a middle entry moves the last one (0x400) into it.
+    const auto middle = mshr.complete(0x200);
+    ASSERT_EQ(middle.size(), 1u);
+    EXPECT_EQ(middle[0], 0x201u);
+    EXPECT_FALSE(mshr.has(0x200));
+    EXPECT_EQ(mshr.entriesInUse(), 3u);
+
+    // The moved entry still merges, and the freed entry is reusable.
+    EXPECT_EQ(mshr.allocate(0x400, 0x403), MshrOutcome::Merged);
+    EXPECT_EQ(mshr.allocate(0x500, 0x501), MshrOutcome::NewEntry);
+    EXPECT_TRUE(mshr.full());
+    EXPECT_EQ(mshr.allocate(0x400, 0x404), MshrOutcome::Merged);
+    EXPECT_EQ(mshr.allocate(0x400, 0x405), MshrOutcome::FullEntry);
+
+    const auto moved = mshr.complete(0x400);
+    ASSERT_EQ(moved.size(), 4u);
+    EXPECT_EQ(moved[0], 0x401u);
+    EXPECT_EQ(moved[1], 0x402u);
+    EXPECT_EQ(moved[2], 0x403u);
+    EXPECT_EQ(moved[3], 0x404u);
+    for (Addr line : {0x100, 0x300, 0x500}) {
+        const auto waiters = mshr.complete(line);
+        ASSERT_EQ(waiters.size(), 1u);
+        EXPECT_EQ(waiters[0], line + 1);
+    }
+    EXPECT_TRUE(mshr.empty());
+}
+
 TEST(Mshr, CompleteUnknownLineDies)
 {
     MshrFile mshr(4, 4, "m");
