@@ -17,7 +17,8 @@
  * run artifacts. Both files are byte-identical for any --jobs and with
  * fast-forward on or off; bench/BENCH_serving.json and
  * bench/BENCH_servetrace.json are the committed baselines the
- * serving_gate test byte-gates against.
+ * serving_gate ctest byte-gates against at --jobs 1, 2 and 4 and with
+ * fast-forward off.
  */
 
 #include <algorithm>

@@ -13,9 +13,11 @@
  * The result is a `bsched-simspeed-v1` artifact, written to
  * `--emit-json FILE` or else to stdout. The committed
  * bench/BENCH_simspeed.json baseline is produced this way and CI's
- * perf-smoke step diffs a fresh artifact against it with
- * tools/bench_compare.py, which hard-gates the machine-independent
- * ratios (fast-forward speedups, profiler overhead budgets). The
+ * perf-smoke job diffs a fresh artifact against it with
+ * tools/bench_compare.py. That script judges every rate and ratio
+ * against the baseline (memprofiled_vs_plain only that way) and holds
+ * hard floors on the observed, profiled, phase and servetraced
+ * overhead ratios and the fast-forward speedups. The
  * command line is the figures' (bench::parseArgs); the measurement is
  * serial by design, so `--jobs` changes nothing.
  */

@@ -1,8 +1,5 @@
 #include "obs/sampler.hh"
 
-#include <ostream>
-
-#include "obs/sink.hh"
 #include "sim/log.hh"
 
 namespace bsched {
@@ -103,24 +100,6 @@ IntervalSampler::deltas(const std::string& name) const
         prev = v;
     }
     return out;
-}
-
-void
-IntervalSampler::writeCsv(std::ostream& os) const
-{
-    os << "cycle";
-    for (const auto& [name, series] : series_)
-        os << "," << name;
-    os << "\n";
-    for (std::size_t i = 0; i < cycles_.size(); ++i) {
-        os << cycles_[i];
-        for (const auto& [name, series] : series_) {
-            os << ",";
-            if (i < series.values.size())
-                os << jsonNumber(series.values[i]);
-        }
-        os << "\n";
-    }
 }
 
 } // namespace bsched

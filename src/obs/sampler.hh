@@ -18,7 +18,6 @@
 #define BSCHED_OBS_SAMPLER_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -103,9 +102,6 @@ class IntervalSampler
     {
         return series_;
     }
-
-    /** Render as CSV: header "cycle,<name>,...", one row per sample. */
-    void writeCsv(std::ostream& os) const;
 
   private:
     Cycle period_;

@@ -78,14 +78,6 @@ writeStatsJson(std::ostream& os, const StatSet& stats)
     os << "}";
 }
 
-void
-writeStatsCsv(std::ostream& os, const StatSet& stats)
-{
-    os << "name,value\n";
-    for (const auto& [name, value] : stats.entries())
-        os << name << "," << jsonNumber(value) << "\n";
-}
-
 namespace {
 
 /** Write sampled time series as a JSON object (period, cycles, data). */

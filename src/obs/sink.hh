@@ -47,9 +47,6 @@ std::string jsonNumber(double value);
 /** Write a StatSet as a flat JSON object in name order. */
 void writeStatsJson(std::ostream& os, const StatSet& stats);
 
-/** Write a StatSet as "name,value" CSV lines (header included). */
-void writeStatsCsv(std::ostream& os, const StatSet& stats);
-
 /**
  * Write one run with the `bsched-run-v1` schema: label, headline
  * numbers, derived metrics, the full StatSet, and — when @p sampler is

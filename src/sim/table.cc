@@ -76,25 +76,6 @@ Table::toText() const
 }
 
 std::string
-Table::toCsv() const
-{
-    std::ostringstream os;
-    auto emit = [&](const std::vector<std::string>& row) {
-        for (std::size_t i = 0; i < row.size(); ++i) {
-            if (i)
-                os << ",";
-            os << row[i];
-        }
-        os << "\n";
-    };
-    if (!header_.empty())
-        emit(header_);
-    for (const auto& row : rows_)
-        emit(row);
-    return os.str();
-}
-
-std::string
 fmt(double value, int precision)
 {
     std::ostringstream os;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Plain-text table, CSV and ASCII bar-chart rendering for the experiment
+ * Plain-text table and ASCII bar-chart rendering for the experiment
  * harness. Every bench binary uses these to print the paper-style rows
  * and series.
  */
@@ -31,9 +31,6 @@ class Table
 
     /** Render column-aligned text. */
     std::string toText() const;
-
-    /** Render RFC-4180-ish CSV (no quoting of embedded commas needed). */
-    std::string toCsv() const;
 
     std::size_t rowCount() const { return rows_.size(); }
 

@@ -30,7 +30,7 @@ mshrFingerprint(MshrFile& mshr, const std::vector<Addr>& lines)
     std::ostringstream os;
     StatSet stats;
     mshr.addStats(stats, "m.");
-    writeStatsCsv(os, stats);
+    writeStatsJson(os, stats);
     for (Addr line : lines) {
         os << std::hex << line << ":";
         for (MshrWaiter waiter : mshr.complete(line))

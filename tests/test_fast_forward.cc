@@ -225,7 +225,7 @@ multiKernelBytes(GpuConfig config, const KernelInfo& a, const KernelInfo& b,
     for (Cycle c : report.sharedCycles)
         os << c << ",";
     os << "\n";
-    writeStatsCsv(os, report.stats);
+    writeStatsJson(os, report.stats);
     return os.str();
 }
 

@@ -149,16 +149,6 @@ TEST(Sink, ReportBytesIdenticalAcrossJobCounts)
     EXPECT_EQ(bytes[0], bytes[1]);
 }
 
-TEST(Sink, StatsCsvRoundTrip)
-{
-    StatSet stats;
-    stats.set("gpu.cycles", 100);
-    stats.set("gpu.ipc", 1.5);
-    std::ostringstream os;
-    writeStatsCsv(os, stats);
-    EXPECT_EQ(os.str(), "name,value\ngpu.cycles,100\ngpu.ipc,1.5\n");
-}
-
 TEST(Sink, WriteFileCreatesArtifact)
 {
     const std::string path = ::testing::TempDir() + "bsched_sink_test.json";

@@ -147,7 +147,7 @@ TEST(PhaseDetector, AbsoluteChannelUsesAbsThreshold)
 }
 
 /** The artifact is byte-identical across fast-forward settings and
- *  repeated runs (the CI gate re-checks this across --jobs too). */
+ *  repeated runs (the phase_gate ctest re-checks this across --jobs too). */
 TEST(PhaseTelemetry, ArtifactBytesIndependentOfFastForward)
 {
     const KernelInfo k = kernel();

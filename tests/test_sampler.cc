@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "harness/runner.hh"
 #include "kernel/program_builder.hh"
 #include "obs/sampler.hh"
@@ -108,19 +106,6 @@ TEST(IntervalSampler, MisalignedRecordingDies)
 
     // Non-monotonic cycle axis.
     EXPECT_DEATH(s.begin(20), "not after");
-}
-
-TEST(IntervalSampler, CsvHasHeaderAndOneRowPerSample)
-{
-    IntervalSampler s(10);
-    s.begin(10);
-    s.record("a", 1.0, SeriesKind::Counter);
-    s.begin(20);
-    s.record("a", 2.5, SeriesKind::Counter);
-
-    std::ostringstream os;
-    s.writeCsv(os);
-    EXPECT_EQ(os.str(), "cycle,a\n10,1\n20,2.5\n");
 }
 
 /**

@@ -13,8 +13,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/parallel_runner.hh"
@@ -407,8 +407,8 @@ deadlinePoints()
 /**
  * Serve each point with a ServeTrace attached and return both reports
  * of those runs. A policy subset and tiny traces keep these tests
- * cheap; the serving_gate test proves the same contract over the full
- * bench matrix.
+ * cheap; the serving_gate ctest proves the same contract over the full
+ * bench matrix at --jobs 1, 2 and 4 and with fast-forward off.
  */
 ServingJson
 servingJsonFor(const GpuConfig& config, unsigned jobs,
@@ -723,9 +723,10 @@ TEST(ServeSampler, GaugesAreFastForwardInvariant)
         obs.sampler = &sampler;
         engine.setObserver(obs);
         engine.run(generateTrace(smallSpec()));
-        std::ostringstream os;
-        sampler.writeCsv(os);
-        return os.str();
+        std::map<std::string, std::vector<double>> values;
+        for (const auto& [name, series] : sampler.series())
+            values[name] = series.values;
+        return std::make_pair(sampler.cycles(), values);
     };
     EXPECT_EQ(gaugesFor(true), gaugesFor(false));
 }

@@ -388,8 +388,9 @@ def compare_phase(base: dict, cur: dict, cmp: Comparison) -> None:
     structure must match exactly: window count, per-scope phase counts
     and every phase boundary. Series values and phase means are judged
     relatively — they shift legitimately when the timing model changes,
-    and the boundary checks catch detector drift. The CI byte-gate
-    (cmp against the committed baseline) already pins exact values.
+    and the boundary checks catch detector drift. The phase_gate ctest
+    (byte compare against the committed baseline) already pins exact
+    values.
     """
     for field in ("window_cycles", "hysteresis"):
         bval = base.get("config", {}).get(field)
