@@ -273,7 +273,7 @@ main(int argc, char** argv)
         std::printf("wrote %s\n", opts.emitJsonPath.c_str());
     }
     bench::writeRunArtifacts(
-        opts, config, makeWorkload("lud"), "lud/serving",
+        opts, config, makeWorkload("nw"), "nw/serving",
         {{"servetrace.json",
           [&](std::ostream& os) { audit_report.writeJson(os); }}});
     return 0;

@@ -148,13 +148,19 @@ LdstUnit::processLine(Cycle now)
     return true;
 }
 
-bool
-LdstUnit::tick(Cycle now)
+void
+LdstUnit::recordOccupancy()
 {
     if (memProfiler_ != nullptr) {
         memProfiler_->recordMshrOccupancy(MemLevel::L1,
                                           mshr_.entriesInUse());
     }
+}
+
+bool
+LdstUnit::tick(Cycle now)
+{
+    recordOccupancy();
     bool did_work = false;
 
     // Return L1 hits whose latency elapsed.
@@ -188,11 +194,18 @@ LdstUnit::tick(Cycle now)
 Cycle
 LdstUnit::nextEventCycle(Cycle now) const
 {
-    // Pending completions must reach the core, and outgoing requests
-    // the network, on the very next cycle. A queued batch is also
-    // "now": even a blocked head mutates retry/stall counters each
-    // cycle, so those cycles are observable and cannot be skipped.
-    if (!completions_.empty() || !outgoing_.empty() || !batchQ_.empty())
+    // Outgoing requests must reach the network on the very next cycle.
+    return outgoing_.empty() ? nextTickCycle(now) : now;
+}
+
+Cycle
+LdstUnit::nextTickCycle(Cycle now) const
+{
+    // Pending completions must reach the core on the very next cycle.
+    // A queued batch is also "now": even a blocked head mutates
+    // retry/stall counters each cycle, so those cycles are observable
+    // and cannot be skipped.
+    if (!completions_.empty() || !batchQ_.empty())
         return now;
     if (!hitQ_.empty())
         return std::max(hitQ_.nextReady(), now);

@@ -87,6 +87,13 @@ class LdstUnit
     bool tick(Cycle now);
 
     /**
+     * Sample the L1 MSHR occupancy on the attached memory profiler:
+     * the one effect of a tick before nextTickCycle(), which the core
+     * replays instead of ticking while it sleeps.
+     */
+    void recordOccupancy();
+
+    /**
      * Earliest cycle >= @p now at which this unit can do observable
      * work on its own: pending completions or outgoing requests (now),
      * a queued batch (now — head retries are observable every cycle),
@@ -94,6 +101,14 @@ class LdstUnit
      * external fills can wake it (all lines out at the memory system).
      */
     Cycle nextEventCycle(Cycle now) const;
+
+    /**
+     * nextEventCycle() minus the outgoing requests, which leave through
+     * popOutgoing() rather than tick(): the earliest cycle >= @p now at
+     * which tick() or the core's completion step has work. Until then
+     * a tick only records the occupancy sample (recordOccupancy).
+     */
+    Cycle nextTickCycle(Cycle now) const;
 
     /**
      * Deliver an L2 fill response (from the interconnect). @p req_id is

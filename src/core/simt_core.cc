@@ -100,6 +100,7 @@ SimtCore::launchCta(Cycle now, const KernelInfo& kernel, int kernel_id,
         warp.kernel = &kernel;
         warp.cursor.init(kernel.program, cta_id);
         warp.sb.reset();
+        cta.warpIds.push_back(static_cast<int>(w));
         // The youngest CTA: its warps go last in their slot's age order.
         ageOrder_[w % ageOrder_.size()].push_back(static_cast<int>(w));
         --freeWarpSlots_;
@@ -158,6 +159,7 @@ SimtCore::drainCompletedCtas()
 void
 SimtCore::deliverResponse(Cycle now, const MemResponse& response)
 {
+    quietUntil_ = 0;
     ldst_.onFill(now, response.lineAddr, response.reqId);
 }
 
@@ -357,11 +359,9 @@ SimtCore::completeCta(int hw_cta, Cycle now)
     regroupSlots();
     wakeSlots();
     // Every warp of the CTA finished, so its issue state is Dead already.
-    for (Warp& warp : warps_) {
-        if (warp.valid && warp.hwCta == hw_cta) {
-            warp.clear();
-            ++freeWarpSlots_;
-        }
+    for (const int w : cta.warpIds) {
+        warps_[static_cast<std::size_t>(w)].clear();
+        ++freeWarpSlots_;
     }
     // If this was the block's last resident CTA, let the warp schedulers
     // drop their per-block state (keeps BAWS's rotation map bounded by
@@ -420,6 +420,7 @@ SimtCore::wakeSlots()
 {
     for (SlotStalls& slot : slotStalls_)
         slot.wake = 0;
+    quietUntil_ = 0;
 }
 
 void
@@ -429,11 +430,10 @@ SimtCore::checkBarrier(int hw_cta)
     const std::uint32_t live = cta.warpsTotal - cta.warpsDone;
     if (live == 0 || cta.warpsArrived != live)
         return;
-    for (std::size_t w = 0; w < warps_.size(); ++w) {
-        if (warps_[w].valid && warps_[w].hwCta == hw_cta) {
-            warps_[w].atBarrier = false;
-            refreshIssueState(w);
-        }
+    for (const int id : cta.warpIds) {
+        const auto w = static_cast<std::size_t>(id);
+        warps_[w].atBarrier = false;
+        refreshIssueState(w);
     }
     cta.warpsArrived = 0;
     wakeSlots();
@@ -602,6 +602,48 @@ SimtCore::issueSlots(Cycle now)
 bool
 SimtCore::tick(Cycle now)
 {
+    if (now >= quietUntil_)
+        return tickAwake(now);
+    if constexpr (kChecksEnabled) {
+        // Validate builds tick anyway: the plain tick must do no work
+        // and leave every slot's stalls and the stall kind as they
+        // were, which is exactly what the replay does.
+        const std::vector<SlotStalls> slept = slotStalls_;
+        const bool mem_stall = quietMemStall_;
+        const bool worked = tickAwake(now);
+        BSCHED_CHECK(!worked && slotStalls_ == slept &&
+                         quietMemStall_ == mem_stall,
+                     name_, ": core asleep until ", quietUntil_,
+                     " would work at cycle ", now);
+        return worked;
+    } else {
+        replayQuietTick();
+        return false;
+    }
+}
+
+void
+SimtCore::replayQuietTick()
+{
+    // The port budgets are still zero: the quiet tick issued nothing.
+    ldst_.recordOccupancy();
+    if (residentCtas() == 0)
+        return;
+    ++activeCycles_;
+    if (quietMemStall_)
+        ++stallMemCycles_;
+    else
+        ++stallIdleCycles_;
+    if (profiler_ != nullptr) {
+        for (const SlotStalls& slept : slotStalls_)
+            recordStalledSlot(*profiler_, slept, 1);
+        profiler_->recordNoIssueCycle(id_);
+    }
+}
+
+bool
+SimtCore::tickAwake(Cycle now)
+{
     bool did_work = applyCompletions(now);
     did_work |= ldst_.tick(now);
     did_work |= applyCompletions(now);
@@ -609,10 +651,12 @@ SimtCore::tick(Cycle now)
     memIssuedThisCycle_ = 0;
     sfuIssuedThisCycle_ = 0;
 
-    if (residentCtas() > 0)
-        ++activeCycles_;
-    else
+    if (residentCtas() == 0) {
+        if (!did_work)
+            quietUntil_ = ldst_.nextTickCycle(now + 1);
         return did_work;
+    }
+    ++activeCycles_;
 
     bool issued_any = false;
     switch (config_.warpSched) {
@@ -629,16 +673,24 @@ SimtCore::tick(Cycle now)
         issued_any = issueSlots<BawsScheduler>(now);
         break;
     }
-    if (issued_any) {
+    const bool mem_stall = !issued_any && !ldst_.drained();
+    if (issued_any)
         ++issueCycles_;
-    } else if (!ldst_.drained()) {
+    else if (mem_stall)
         ++stallMemCycles_;
-    } else {
+    else
         ++stallIdleCycles_;
-    }
     if (profiler_ != nullptr && !issued_any)
         profiler_->recordNoIssueCycle(id_);
-    return did_work || issued_any;
+    if (did_work || issued_any)
+        return true;
+    // A quiet tick repeats until a slot wakes or the LD/ST unit has an
+    // event due, unless an outside event wakes the core first.
+    quietUntil_ = ldst_.nextTickCycle(now + 1);
+    for (const SlotStalls& slot : slotStalls_)
+        quietUntil_ = std::min(quietUntil_, slot.wake);
+    quietMemStall_ = mem_stall;
+    return false;
 }
 
 Cycle

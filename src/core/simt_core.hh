@@ -72,7 +72,9 @@ class SimtCore
      * on this core — an instruction issued, a load completion applied,
      * or LD/ST-unit activity. A false return marks a quiet cycle whose
      * repetitions may be elided by idle fast-forward (their counter
-     * effects are replayed by accountQuietSpan()).
+     * effects are replayed by accountQuietSpan()). After a quiet tick
+     * the core sleeps until quietUntil_; a tick before then replays
+     * that quiet tick's counters instead of re-proving it.
      */
     bool tick(Cycle now);
 
@@ -102,7 +104,14 @@ class SimtCore
 
     bool hasOutgoing() const { return ldst_.hasOutgoing(); }
     const MemRequest& peekOutgoing() const { return ldst_.peekOutgoing(); }
-    MemRequest popOutgoing() { return ldst_.popOutgoing(); }
+    /** Hand the next request to the network; wakes a sleeping core
+     *  (the LD/ST unit may admit again). */
+    MemRequest popOutgoing()
+    {
+        quietUntil_ = 0;
+        return ldst_.popOutgoing();
+    }
+    /** Deliver an L2 fill; wakes a sleeping core. */
     void deliverResponse(Cycle now, const MemResponse& response);
 
     // --- status & monitoring ---------------------------------------------
@@ -182,6 +191,8 @@ class SimtCore
         std::uint64_t blockSeq = 0;
         std::uint32_t warpsTotal = 0;
         std::uint32_t warpsDone = 0;
+        /** The warp slots launchCta placed the CTA's warps in. */
+        std::vector<int> warpIds;
         /** Not-done warps waiting at the barrier; it releases when
          *  every not-done warp has arrived. */
         std::uint32_t warpsArrived = 0;
@@ -221,6 +232,8 @@ class SimtCore
          *  a spent port budget; kCycleNever if only events can lift
          *  every refusal. */
         Cycle wake = kCycleNever;
+
+        bool operator==(const SlotStalls&) const = default;
     };
 
     /**
@@ -281,7 +294,13 @@ class SimtCore
      *  walk inlined; true if any slot issued. */
     template <class Policy>
     bool issueSlots(Cycle now);
-    /** Wake every slot: its warps or their barriers changed. */
+    /** One cycle of the plain tick (tick() minus the sleep). */
+    bool tickAwake(Cycle now);
+    /** What a tick before quietUntil_ does: the counter effects of the
+     *  quiet tick that put the core to sleep, with every slot asleep. */
+    void replayQuietTick();
+    /** Wake every slot (and the core): its warps or their barriers
+     *  changed. */
     void wakeSlots();
     /** Regroup every slot's age order by CTA (after launch/retire). */
     void regroupSlots();
@@ -331,6 +350,19 @@ class SimtCore
      *  stage: a refusal a sleeping slot saw lifts when one turns true. */
     bool admitLoad_ = true;
     bool admitStore_ = true;
+    /**
+     * The core sleeps until this cycle after a tick that did no work:
+     * the earliest slot wake or LdstUnit::nextTickCycle. A tick before
+     * it only replays the quiet tick's counters (replayQuietTick).
+     * Everything else that can make the core work zeroes it:
+     * deliverResponse, popOutgoing and wakeSlots (CTA launch,
+     * retirement, barrier release).
+     */
+    Cycle quietUntil_ = 0;
+    /** The quiet tick's stall kind (LD/ST unit not drained): constant
+     *  while the core sleeps, since only a fill or a popped request can
+     *  drain the unit, and both wake the core. */
+    bool quietMemStall_ = false;
 
     /** Per warp slot: its exact IssueState, the only per-warp state
      *  the issue walk and quiet-span accounting read. */

@@ -51,6 +51,7 @@ DramChannel::push(Cycle now, Addr line_addr, bool write,
     queue_.push_back({line_addr, write, now, bankOf(line_addr),
                       static_cast<std::int64_t>(rowOf(line_addr)),
                       req_id});
+    banksBusyUntil_ = 0; // the request may enter the scan window
 }
 
 void
@@ -109,6 +110,13 @@ DramChannel::tick(Cycle now)
 {
     if (queue_.empty())
         return false;
+    // Every bank in the window was busy at the last scan, and only a
+    // service (here) or a push changes the window or a bank: nothing
+    // can be served before the first of them frees. Validate builds
+    // scan anyway and check that.
+    const bool asleep = now < banksBusyUntil_;
+    if (asleep && !kChecksEnabled)
+        return false;
     const std::size_t window = std::min(queue_.size(), kScanWindow);
 
     // Starvation guard: when the oldest request has waited too long,
@@ -117,24 +125,34 @@ DramChannel::tick(Cycle now)
         queue_.front().arrive + config_.maxStarveCycles <= now;
 
     // First choice: oldest row-buffer hit on a free bank.
+    std::size_t pick = window;
     if (!starving) {
         for (std::size_t i = 0; i < window; ++i) {
             const Request& req = queue_[i];
             const Bank& bank = banks_[req.bank];
             if (bank.busyUntil <= now && bank.openRow == req.row) {
-                service(now, i);
-                return true;
+                pick = i;
+                break;
             }
         }
     }
     // Fallback: oldest request on a free bank.
-    for (std::size_t i = 0; i < window; ++i) {
-        if (banks_[queue_[i].bank].busyUntil <= now) {
-            service(now, i);
-            return true;
-        }
+    Cycle first_free = kCycleNever;
+    for (std::size_t i = 0; pick == window && i < window; ++i) {
+        const Cycle busy = banks_[queue_[i].bank].busyUntil;
+        if (busy <= now)
+            pick = i;
+        first_free = std::min(first_free, busy);
     }
-    return false;
+    if (pick == window) {
+        banksBusyUntil_ = first_free;
+        return false;
+    }
+    BSCHED_CHECK(!asleep, "dram ", name_, ": bank free at cycle ", now,
+                 " while every window bank is busy until ",
+                 banksBusyUntil_);
+    service(now, pick);
+    return true;
 }
 
 Cycle

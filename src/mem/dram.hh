@@ -147,6 +147,10 @@ class DramChannel
     /** (doneCycle, lineAddr) for reads, in completion order. */
     std::deque<std::pair<Cycle, Addr>> completions_;
     Cycle busFreeAt_ = 0;
+    /** After a scan that found every window bank busy: the first cycle
+     *  one of them frees. tick() serves nothing before it; push()
+     *  resets it. */
+    Cycle banksBusyUntil_ = 0;
 
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;

@@ -97,8 +97,11 @@ def check_memprofile(mem: dict) -> str:
             interference = point["interference"][level]
             assert (interference["cross_cta_evictions"] <=
                     interference["evictions"]), point["label"]
-    return (f"memprofile requests: "
-            f"{sum(p['completed'] for p in mem['points'])}")
+    # A run without global memory traffic would pass every law above
+    # vacuously.
+    completed = sum(p["completed"] for p in mem["points"])
+    assert completed > 0, "memprofile completed no requests"
+    return f"memprofile requests: {completed}"
 
 
 def check_phase(phase: dict) -> str:

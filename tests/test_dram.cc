@@ -98,6 +98,22 @@ TEST(Dram, BusSerializesBackToBackBursts)
     EXPECT_GE(second - first, cfg().dataBusCycles);
 }
 
+TEST(Dram, PushToAnIdleBankWakesAStalledScheduler)
+{
+    DramChannel dram(cfg(), 128, 1, "d");
+    dram.push(0, line(0), false); // bank 0
+    EXPECT_TRUE(dram.tick(0));
+    // The only queued request waits on busy bank 0: the scan finds no
+    // free bank, so the scheduler sleeps until bank 0 frees.
+    dram.push(1, line(1), false);
+    EXPECT_FALSE(dram.tick(1));
+    // A request to idle bank 1 is served on the very next tick.
+    dram.push(2, line(8), false);
+    EXPECT_TRUE(dram.tick(2));
+    EXPECT_EQ(dram.rowMisses(), 2u);
+    EXPECT_EQ(dram.bankStats(1).rowMisses, 1u);
+}
+
 TEST(Dram, WritesProduceNoResponse)
 {
     DramChannel dram(cfg(), 128, 1, "d");

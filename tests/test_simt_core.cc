@@ -161,6 +161,66 @@ TEST(SimtCore, LoadKernelGeneratesMemoryTraffic)
     EXPECT_GT(core.instrsIssued(), before);
 }
 
+TEST(SimtCore, FillWakesASleepingCoreOnItsOwnCycle)
+{
+    SimtCore core(cfg(), 0);
+    const KernelInfo k = loadKernel();
+    core.launchCta(0, k, 0, 0, 0);
+    Cycle t = 0;
+    while (!core.hasOutgoing() && t < 100)
+        core.tick(t++);
+    ASSERT_TRUE(core.hasOutgoing());
+    const MemRequest req = core.popOutgoing();
+    // Asleep on the outstanding load: the dependent ALU waits.
+    const std::uint64_t before = core.instrsIssued();
+    for (int i = 0; i < 50; ++i)
+        core.tick(t++);
+    EXPECT_EQ(core.instrsIssued(), before);
+    // The fill's cycle releases the register and issues the ALU.
+    core.deliverResponse(t, {req.lineAddr, 0});
+    core.tick(t);
+    EXPECT_EQ(core.instrsIssued(), before + 1);
+}
+
+TEST(SimtCore, PoppedStoreTurnsMemStallsIntoIdleStalls)
+{
+    GpuConfig c = cfg();
+    c.sfuLatency = 200;
+    SimtCore core(c, 0);
+    KernelInfo k;
+    k.name = "st";
+    k.grid = {1, 1, 1};
+    k.cta = {32, 1, 1};
+    k.regsPerThread = 16;
+    ProgramBuilder b;
+    MemPattern p;
+    p.kind = AccessKind::Coalesced;
+    p.base = 0x100000;
+    const auto id = b.pattern(p);
+    // The store's request waits in the LD/ST unit while the warp waits
+    // ~200 cycles on the SFU result its last ALU reads.
+    b.alu(1, false).store(id).sfu(1).alu(1);
+    k.program = b.build();
+    k.validate();
+    core.launchCta(0, k, 0, 0, 0);
+    Cycle t = 0;
+    while (!core.hasOutgoing() && t < 100)
+        core.tick(t++);
+    ASSERT_TRUE(core.hasOutgoing());
+    for (int i = 0; i < 20; ++i)
+        core.tick(t++);
+    const std::uint64_t mem = core.memStallCycles();
+    const std::uint64_t idle = core.idleStallCycles();
+    const std::uint64_t issued = core.instrsIssued();
+    EXPECT_GE(mem, 20u);
+    EXPECT_TRUE(core.popOutgoing().write);
+    for (int i = 0; i < 5; ++i)
+        core.tick(t++);
+    EXPECT_EQ(core.memStallCycles(), mem);
+    EXPECT_EQ(core.idleStallCycles(), idle + 5);
+    EXPECT_EQ(core.instrsIssued(), issued);
+}
+
 TEST(SimtCore, BarrierSynchronizesWarps)
 {
     SimtCore core(cfg(), 0);
