@@ -170,16 +170,30 @@ BawsScheduler::walk(const IssueView& view, IssueTest issuable)
                     issuable);
 }
 
+namespace {
+
+/** The first entry of @p table whose block is not below @p block. */
+template <class Table>
+auto
+findBlock(Table& table, std::uint64_t block)
+{
+    return std::lower_bound(
+        table.begin(), table.end(), block,
+        [](const auto& entry, std::uint64_t b) { return entry.block < b; });
+}
+
+} // namespace
+
 int
 BawsScheduler::rotateWarp(const IssueCta& cta,
                           const std::vector<Warp>& warps) const
 {
-    const auto it = rotate_.find(cta.block);
-    if (it == rotate_.end())
+    const auto it = findBlock(rotate_, cta.block);
+    if (it == rotate_.end() || it->block != cta.block)
         return -1;
-    const Warp& warp = warps[static_cast<std::size_t>(it->second)];
+    const Warp& warp = warps[static_cast<std::size_t>(it->warp)];
     return warp.blockSeq == cta.block && warp.ctaSeq == cta.ctaSeq
-        ? it->second
+        ? it->warp
         : -1;
 }
 
@@ -188,13 +202,19 @@ BawsScheduler::notifyIssued(int warp_id, const std::vector<Warp>& warps)
 {
     const Warp& warp = warps[static_cast<std::size_t>(warp_id)];
     lastBlock_ = warp.blockSeq;
-    rotate_[lastBlock_] = warp_id;
+    const auto it = findBlock(rotate_, lastBlock_);
+    if (it != rotate_.end() && it->block == lastBlock_)
+        it->warp = warp_id;
+    else
+        rotate_.insert(it, {lastBlock_, warp_id});
 }
 
 void
 BawsScheduler::notifyBlockRetired(std::uint64_t block)
 {
-    rotate_.erase(block);
+    const auto it = findBlock(rotate_, block);
+    if (it != rotate_.end() && it->block == block)
+        rotate_.erase(it);
     if (lastBlock_ == block)
         lastBlock_ = kNoBlock;
 }

@@ -11,6 +11,9 @@
  *  - BAWS: block-aware warp scheduling — greedy-then-oldest across the
  *    CTA *blocks* BCS dispatched together, round-robin within a block so
  *    paired CTAs progress at the same rate and reuse each other's lines.
+ *    Its walk is one pass over the slot's CTAs that tests a CTA's warps
+ *    only while the CTA outranks the best issuable one found so far; the
+ *    per-block rotation is a flat table sorted by block.
  *
  * Every policy is a walk: it visits the slot's warps in its own priority
  * order and stops at the first one the caller's issuable() test accepts.
@@ -29,11 +32,10 @@
 #define BSCHED_CORE_WARP_SCHED_HH
 
 #include <algorithm>
+#include <compare>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include "core/warp.hh"
@@ -130,7 +132,7 @@ class WarpScheduler
     /**
      * Called by the core when the last resident CTA of dispatch-block
      * @p block retires, so schedulers can drop per-block state. Without
-     * this, BAWS's per-block rotation map would grow with every block
+     * this, BAWS's per-block rotation table would grow with every block
      * the core ever ran.
      */
     virtual void notifyBlockRetired(std::uint64_t block) { (void)block; }
@@ -304,36 +306,40 @@ class BawsScheduler : public WarpScheduler
      * stay at even progress (the shared halo lines are still resident
      * when the partner needs them), but stay greedy *within* the chosen
      * CTA: its rotate warp if it can issue, else its oldest.
+     *
+     * One pass over the CTAs keeps the best-ranked one with an issuable
+     * warp; a CTA's warps are tested only if its rank beats that best
+     * so far. Ranks are distinct (ctaSeq), so this is the first CTA in
+     * rank order that can issue, and a fruitless walk tests every warp.
      */
     template <class Test>
     int
     walkWith(const IssueView& view, Test& issuable)
     {
-        // Most slot-cycles of a memory-bound kernel issue nothing: one
-        // pass in age order settles that before the CTAs are ranked.
-        if (std::none_of(view.byAge.begin(), view.byAge.end(), issuable))
-            return -1;
-        order_.clear();
+        const IssueCta* best = nullptr;
+        Rank best_rank{};
+        int best_oldest = -1;
         for (const IssueCta& cta : view.ctas) {
-            const bool other = lastBlock_ == kNoBlock ||
-                cta.block != lastBlock_;
-            order_.push_back({other, cta.block, view.ctaIssued[cta.hwCta],
-                              cta.ctaSeq, &cta});
-        }
-        std::sort(order_.begin(), order_.end());
-        for (const Ranked& ranked : order_) {
-            const IssueCta& cta = *ranked.cta;
+            const Rank rank{lastBlock_ == kNoBlock || cta.block != lastBlock_,
+                            cta.block, view.ctaIssued[cta.hwCta],
+                            cta.ctaSeq};
+            if (best != nullptr && rank >= best_rank)
+                continue;
             for (std::uint32_t i = cta.begin; i < cta.end; ++i) {
-                const int oldest = view.byAge[i];
-                if (!issuable(oldest))
-                    continue;
-                const int rotate = rotateWarp(cta, view.warps);
-                if (rotate >= 0 && rotate != oldest && issuable(rotate))
-                    return rotate;
-                return oldest;
+                if (issuable(view.byAge[i])) {
+                    best = &cta;
+                    best_rank = rank;
+                    best_oldest = view.byAge[i];
+                    break;
+                }
             }
         }
-        return -1;
+        if (best == nullptr)
+            return -1;
+        const int rotate = rotateWarp(*best, view.warps);
+        if (rotate >= 0 && rotate != best_oldest && issuable(rotate))
+            return rotate;
+        return best_oldest;
     }
 
     void notifyIssued(int warp_id, const std::vector<Warp>& warps) override;
@@ -342,27 +348,30 @@ class BawsScheduler : public WarpScheduler
 
     /** Block issued from last; ~0 if none (tests). */
     std::uint64_t lastBlock() const { return lastBlock_; }
-    /** Live per-block rotation pointers, by block (tests). */
-    const std::map<std::uint64_t, int>& rotation() const { return rotate_; }
+    /** A block's round-robin pointer: the warp it last issued. */
+    struct Rotation
+    {
+        std::uint64_t block;
+        int warp;
+
+        bool operator==(const Rotation&) const = default;
+    };
+
+    /** Live per-block rotation pointers, ascending by block (tests). */
+    const std::vector<Rotation>& rotation() const { return rotate_; }
 
   private:
     static constexpr std::uint64_t kNoBlock = ~0ULL;
 
     /** A CTA's walk priority: the last block, block, progress, age. */
-    struct Ranked
+    struct Rank
     {
         bool otherBlock;
         std::uint64_t block;
         std::uint64_t progress;
         std::uint64_t ctaSeq;
-        const IssueCta* cta;
 
-        bool
-        operator<(const Ranked& o) const
-        {
-            return std::tie(otherBlock, block, progress, ctaSeq) <
-                std::tie(o.otherBlock, o.block, o.progress, o.ctaSeq);
-        }
+        auto operator<=>(const Rank&) const = default;
     };
 
     /** The block's rotate warp if it belongs to @p cta, else -1. */
@@ -370,12 +379,11 @@ class BawsScheduler : public WarpScheduler
 
     std::uint64_t lastBlock_ = kNoBlock;
     /**
-     * Per-block round-robin pointer (last issued warp id). Ordered by
-     * block so any iteration (stats, future policies) is deterministic;
-     * schedule decisions must never inherit hash order.
+     * Per-block round-robin pointers, sorted by block: a core runs a
+     * handful of blocks at once, so a flat vector beats a tree, and
+     * iteration order never inherits hash order.
      */
-    std::map<std::uint64_t, int> rotate_;
-    std::vector<Ranked> order_;                ///< walk scratch
+    std::vector<Rotation> rotate_;
     std::vector<IssueCta> ctaScratch_;         ///< walk() grouping
     std::vector<std::uint64_t> issuedScratch_; ///< walk() progress
 };

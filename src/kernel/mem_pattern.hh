@@ -92,7 +92,20 @@ Addr laneAddress(const MemPattern& pattern, const KernelGeom& geom,
  * caller-owned buffer makes the access allocation-free).
  * @param active_lanes lanes participating (1..32).
  * @param line_bytes cache line size (power of two).
- * Result is capped at warp size and preserves first-touch order.
+ * Result is capped at warp size and preserves first-touch order: it is
+ * exactly the laneAddress() lines of lanes 0..active_lanes-1, each kept
+ * at its first touch. Lane 0 is computed once and the other lanes step
+ * from it, so an access pays its modulos once rather than once per lane:
+ * Coalesced and Strided lanes are affine in the lane; CtaTile takes one
+ * modulo of the tile index, then steps it and wraps it at the tile's end;
+ * HaloRows computes the row once, then steps the column and wraps it at
+ * the row's end. While affine lanes do not pass 2^64 they ascend, so
+ * only the line pushed last can repeat, and lanes closer than a line
+ * yield every line from lane 0's to the last lane's without visiting
+ * each lane. Broadcast is one line, and Random hashes each lane. Lanes
+ * that pass 2^64 or wrap inside the warp are deduplicated against every
+ * line; lane arithmetic that would itself overflow takes the per-lane
+ * laneAddress() path, which validate builds check every result against.
  */
 void coalesce(const MemPattern& pattern, const KernelGeom& geom,
               std::uint32_t cta, std::uint32_t warp_in_cta,

@@ -231,7 +231,14 @@ expectSameState(const RefBaws& ref, const WarpScheduler& sched)
 {
     const auto& baws = dynamic_cast<const BawsScheduler&>(sched);
     EXPECT_EQ(ref.lastBlock, baws.lastBlock());
-    EXPECT_EQ(ref.rotate, baws.rotation());
+    // The reference's map in block order against the flat table, entry
+    // by entry: same pointers, same order, no duplicate block.
+    const std::vector<std::pair<std::uint64_t, int>> expected(
+        ref.rotate.begin(), ref.rotate.end());
+    std::vector<std::pair<std::uint64_t, int>> actual;
+    for (const BawsScheduler::Rotation& entry : baws.rotation())
+        actual.emplace_back(entry.block, entry.warp);
+    EXPECT_EQ(expected, actual);
 }
 
 // --- A core-shaped warp table ------------------------------------------
@@ -562,6 +569,121 @@ TEST(IssueWalk, BawsLaggardIsChosenAmongIssuableCtasOnly)
     EXPECT_EQ(walkSlot0(baws, core, {0, 2, 4, 6}), 0);
     baws.notifyIssued(2, core.warps);
     EXPECT_EQ(walkSlot0(baws, core, {0, 2, 4, 6}), 2);
+}
+
+/** Two blocks of two CTAs on slot 0: block 0 is CTA seq 0 (warps 0, 2)
+ *  and seq 1 (4, 6), block 1 is seq 2 (8, 10) and seq 3 (12, 14). */
+CoreModel
+twoBlocks()
+{
+    CoreModel core;
+    core.launchBlock(2, 4, 0);
+    core.launchBlock(2, 4, 0);
+    return core;
+}
+
+/** Walk @p baws over @p ready and check it against the reference in
+ *  the same state. */
+int
+walkBawsAndRef(BawsScheduler& baws, const CoreModel& core,
+               const std::vector<int>& ready)
+{
+    RefBaws ref;
+    ref.lastBlock = baws.lastBlock();
+    for (const BawsScheduler::Rotation& entry : baws.rotation())
+        ref.rotate[entry.block] = entry.warp;
+    const int walked = walkSlot0(baws, core, ready);
+    EXPECT_EQ(walked, ref.pick(ready, core.warps));
+    return walked;
+}
+
+TEST(IssueWalk, BawsEachRankKeyDecides)
+{
+    // otherBlock: the last block's CTA wins although the other block is
+    // older, lags and arrived first.
+    {
+        CoreModel core = twoBlocks();
+        BawsScheduler baws;
+        baws.notifyIssued(10, core.warps);
+        for (int i = 0; i < 5; ++i)
+            core.issued(8);
+        EXPECT_EQ(walkBawsAndRef(baws, core, {0, 8}), 8);
+    }
+    // block: with no last block, the older block wins although its CTA
+    // is ahead.
+    {
+        CoreModel core = twoBlocks();
+        BawsScheduler baws;
+        for (int i = 0; i < 5; ++i)
+            core.issued(0);
+        EXPECT_EQ(walkBawsAndRef(baws, core, {0, 8}), 0);
+    }
+    // progress: inside the last block, the younger laggard CTA wins.
+    {
+        CoreModel core = twoBlocks();
+        BawsScheduler baws;
+        baws.notifyIssued(0, core.warps);
+        core.issued(0);
+        core.issued(0);
+        core.issued(4);
+        EXPECT_EQ(walkBawsAndRef(baws, core, {2, 4}), 4);
+    }
+    // ctaSeq: inside the last block at equal progress, the older CTA.
+    {
+        CoreModel core = twoBlocks();
+        BawsScheduler baws;
+        baws.notifyIssued(0, core.warps);
+        core.issued(0);
+        core.issued(4);
+        EXPECT_EQ(walkBawsAndRef(baws, core, {2, 6}), 2);
+    }
+}
+
+TEST(IssueWalk, BawsTestsOnlyCtasThatOutrankTheBest)
+{
+    CoreModel core = twoBlocks();
+    BawsScheduler baws;
+    baws.notifyIssued(0, core.warps);
+    std::vector<int> visited;
+    auto issuable = [&](int id) {
+        visited.push_back(id);
+        return id != 2;
+    };
+    // CTA seq 0 of the last block ranks first and its oldest warp (the
+    // rotate warp) issues: no other warp is tested.
+    EXPECT_EQ(baws.walk(core.view(0), IssueTest(issuable)), 0);
+    EXPECT_EQ(visited, (std::vector<int>{0}));
+    // CTA seq 1 lags now, so after seq 0's warps it is tested too and
+    // wins; block 1's CTAs rank below both and are never tested.
+    core.issued(0);
+    visited.clear();
+    auto not_0 = [&](int id) {
+        visited.push_back(id);
+        return id != 0;
+    };
+    EXPECT_EQ(baws.walk(core.view(0), IssueTest(not_0)), 4);
+    EXPECT_EQ(visited, (std::vector<int>{0, 2, 4}));
+}
+
+TEST(IssueWalk, BawsFruitlessWalkTestsEveryWarp)
+{
+    CoreModel core = twoBlocks();
+    BawsScheduler baws;
+    baws.notifyIssued(8, core.warps);
+    core.issued(8);
+    core.issued(4);
+    std::vector<int> visited;
+    auto none = [&](int id) {
+        visited.push_back(id);
+        return false;
+    };
+    EXPECT_EQ(baws.walk(core.view(0), IssueTest(none)), -1);
+    std::sort(visited.begin(), visited.end());
+    EXPECT_EQ(visited, (std::vector<int>{0, 2, 4, 6, 8, 10, 12, 14}));
+    // Nothing issued, so the scheduler state is untouched.
+    EXPECT_EQ(baws.lastBlock(), 1u);
+    ASSERT_EQ(baws.rotation().size(), 1u);
+    EXPECT_EQ(baws.rotation().front(), (BawsScheduler::Rotation{1, 8}));
 }
 
 TEST(IssueWalk, LrrWrapsPastTheHighestId)
